@@ -18,22 +18,37 @@ let concurrent (w : History.op) (r : History.op) =
     w.invoked < r_end
     && match w.responded with None -> true | Some w_end -> w_end > r.invoked)
 
+(* For each key: [freshest.(j)] is the position in [index.writes] of the
+   completed write with the highest logical clock among the first
+   [j + 1] by response time. Equal clocks resolve to the later write in
+   input order. *)
+type key_state = { index : Write_index.key_writes; freshest : int array }
+
+let key_state (kw : Write_index.key_writes) =
+  let freshest = Array.make (Array.length kw.by_end) 0 in
+  Array.iteri
+    (fun j i ->
+      let best = if j = 0 then i else freshest.(j - 1) in
+      let c = Lc.compare kw.lcs.(i) kw.lcs.(best) in
+      freshest.(j) <- (if c > 0 || (c = 0 && i > best) then i else best))
+    kw.by_end;
+  { index = kw; freshest }
+
 (* The completed write with the highest logical clock among those that
    responded before the read began. *)
-let freshest_completed_before (writes : History.op list) (r : History.op) =
-  List.fold_left
-    (fun best (w : History.op) ->
-      match w.responded, w.lc with
-      | Some w_end, Some w_lc when w_end <= r.invoked -> (
-        match best with
-        | Some (_, best_lc) when Lc.(best_lc >= w_lc) -> best
-        | Some _ | None -> Some (w, w_lc))
-      | _ -> best)
-    None writes
+let freshest_completed_before states (r : History.op) =
+  match Hashtbl.find_opt states r.key with
+  | None -> None
+  | Some { index; freshest } -> (
+    match Write_index.ended_by index r.invoked with
+    | 0 -> None
+    | n -> Some index.writes.(freshest.(n - 1)))
 
-let check_read ~writes ~by_value (r : History.op) =
-  let freshest = freshest_completed_before writes r in
-  let expected_lc = match freshest with Some (_, lc) -> lc | None -> Lc.zero in
+let check_read ~freshest ~by_value (r : History.op) =
+  (* [freshest] completed, so it carries a clock. *)
+  let expected_lc =
+    match freshest with Some { History.lc = Some lc; _ } -> lc | Some _ | None -> Lc.zero
+  in
   let fail ?returned_write reason = Some { read = r; returned_write; expected_lc; reason } in
   if r.value = "" then
     (* The initial value: legal iff no write had completed before the
@@ -41,18 +56,15 @@ let check_read ~writes ~by_value (r : History.op) =
        only in that case too). *)
     match freshest with
     | None -> None
-    | Some (w, lc) ->
+    | Some w ->
       fail ~returned_write:w
-        (Format.asprintf "read returned the initial value after write lc=%a completed" Lc.pp lc)
+        (Format.asprintf "read returned the initial value after write lc=%a completed" Lc.pp
+           expected_lc)
   else
     match Hashtbl.find_opt by_value r.value with
     | None -> fail "read returned a value never written to this key"
     | Some (w : History.op) ->
-      let is_freshest =
-        match freshest, w.lc with
-        | Some (fw, _), _ -> fw.id = w.id
-        | None, _ -> false
-      in
+      let is_freshest = match freshest with Some fw -> fw.id = w.id | None -> false in
       if is_freshest || concurrent w r then None
       else
         fail ~returned_write:w
@@ -62,40 +74,45 @@ let check_read ~writes ~by_value (r : History.op) =
              Lc.pp expected_lc)
 
 let check ops =
-  let by_key = Hashtbl.create 64 in
+  let states = Hashtbl.create 64 in
+  Hashtbl.iter
+    (fun key kw -> Hashtbl.replace states key (key_state kw))
+    (Write_index.build ops);
+  (* Every write's value, per key; a duplicated value resolves to the
+     last write. *)
+  let values = Hashtbl.create 64 in
   List.iter
     (fun (op : History.op) ->
       match op.kind with
       | History.Write ->
-        let writes =
-          match Hashtbl.find_opt by_key op.key with
-          | Some w -> w
+        let by_value =
+          match Hashtbl.find_opt values op.key with
+          | Some by_value -> by_value
           | None ->
-            let w = (ref [], Hashtbl.create 64) in
-            Hashtbl.add by_key op.key w;
-            w
+            let by_value = Hashtbl.create 64 in
+            Hashtbl.add values op.key by_value;
+            by_value
         in
-        let list, by_value = writes in
-        list := op :: !list;
         Hashtbl.replace by_value op.value op
       | History.Read -> ())
     ops;
-  let reads = List.filter (fun (op : History.op) -> op.kind = History.Read) ops in
-  let completed =
-    List.filter (fun (op : History.op) -> Option.is_some op.responded) reads
-  in
-  let violations =
-    List.filter_map
-      (fun r ->
-        let writes, by_value =
-          match Hashtbl.find_opt by_key r.History.key with
-          | Some (list, by_value) -> (!list, by_value)
-          | None -> ([], Hashtbl.create 1)
-        in
-        check_read ~writes ~by_value r)
-      completed
-  in
-  { reads = List.length reads; checked = List.length completed; violations }
+  let no_values = Hashtbl.create 1 in
+  let reads = ref 0 and checked = ref 0 and violations = ref [] in
+  List.iter
+    (fun (op : History.op) ->
+      match op.kind, op.responded with
+      | History.Read, None -> incr reads
+      | History.Read, Some _ -> (
+        incr reads;
+        incr checked;
+        let freshest = freshest_completed_before states op in
+        let by_value = Option.value (Hashtbl.find_opt values op.key) ~default:no_values in
+        match check_read ~freshest ~by_value op with
+        | Some v -> violations := v :: !violations
+        | None -> ())
+      | History.Write, _ -> ())
+    ops;
+  { reads = !reads; checked = !checked; violations = List.rev !violations }
 
 let is_regular ops =
   match (check ops).violations with [] -> true | _ :: _ -> false
@@ -107,51 +124,82 @@ type inversion = {
   second_lc : Lc.t;
 }
 
-let new_old_inversions ops =
-  (* Group completed reads by key, sort by response time, and flag any
-     later (non-overlapping) read that observed an older logical clock. *)
+(* One key's completed reads that carry a clock, sorted by response
+   time (equal times in reverse input order), with a running maximum of
+   their clocks. *)
+type read_run = {
+  sorted : History.op array;
+  ends : float array;
+  lcs : Lc.t array;
+  newest : Lc.t array;  (** [newest.(j)]: the highest clock in [lcs.(0)] .. [lcs.(j)] *)
+}
+
+(* [rev_reads]: (read, response time, clock), newest first. *)
+let read_run rev_reads =
+  let reads = Array.of_list rev_reads in
+  Array.stable_sort (fun (_, a, _) (_, b, _) -> Float.compare a b) reads;
+  let lcs = Array.map (fun (_, _, lc) -> lc) reads in
+  let newest = Array.copy lcs in
+  for j = 1 to Array.length newest - 1 do
+    newest.(j) <- Lc.max newest.(j - 1) newest.(j)
+  done;
+  {
+    sorted = Array.map (fun (op, _, _) -> op) reads;
+    ends = Array.map (fun (_, r_end, _) -> r_end) reads;
+    lcs;
+    newest;
+  }
+
+let read_runs ops =
   let by_key = Hashtbl.create 16 in
   List.iter
     (fun (op : History.op) ->
       match op.kind, op.responded, op.lc with
-      | History.Read, Some _, Some _ ->
-        let reads =
-          match Hashtbl.find_opt by_key op.key with
-          | Some r -> r
-          | None ->
-            let r = ref [] in
-            Hashtbl.add by_key op.key r;
-            r
-        in
-        reads := op :: !reads
+      | History.Read, Some r_end, Some lc -> (
+        match Hashtbl.find_opt by_key op.key with
+        | Some reads -> reads := (op, r_end, lc) :: !reads
+        | None -> Hashtbl.add by_key op.key (ref [ (op, r_end, lc) ]))
       | _ -> ())
     ops;
-  Hashtbl.fold
-    (fun _ reads acc ->
-      let sorted =
-        List.sort
-          (fun (a : History.op) (b : History.op) ->
-            Option.compare Float.compare a.responded b.responded)
-          !reads
-      in
-      (* Quadratic pairwise scan; histories are experiment-sized. *)
-      let acc = ref acc in
-      List.iteri
-        (fun i (second : History.op) ->
-          List.iteri
-            (fun j (first : History.op) ->
-              if j < i then
-                match first.responded, first.lc, second.lc with
-                | Some first_end, Some first_lc, Some second_lc
-                  when first_end <= second.invoked && Lc.(second_lc < first_lc) ->
-                  acc := { first_read = first; second_read = second; first_lc; second_lc } :: !acc
-                | _ -> ())
-            sorted)
-        sorted;
+  Hashtbl.fold (fun key reads runs -> (key, read_run !reads) :: runs) by_key []
+  (* key order, so no caller sees hash order (R7) *)
+  |> List.sort (fun (a, _) (b, _) -> Key.compare a b)
+  |> List.map snd
+
+(* How many reads precede [run.sorted.(i)] in response order and
+   responded at or before its invocation: the candidates for the first
+   read of an inversion whose second read is [run.sorted.(i)]. *)
+let preceding run i =
+  let invoked = run.sorted.(i).History.invoked in
+  Write_index.partition_point i (fun j -> run.ends.(j) <= invoked)
+
+let inverted run i =
+  match preceding run i with 0 -> false | m -> Lc.(run.newest.(m - 1) > run.lcs.(i))
+
+let new_old_inversions ops =
+  (* Flag any later (non-overlapping) read of a key that observed an
+     older logical clock. Pairs are enumerated only for a read whose
+     predecessors' running maximum shows that one exists. *)
+  List.concat_map
+    (fun run ->
+      let acc = ref [] in
+      Array.iteri
+        (fun i second_read ->
+          if inverted run i then
+            for j = 0 to preceding run i - 1 do
+              if Lc.(run.lcs.(j) > run.lcs.(i)) then
+                acc :=
+                  {
+                    first_read = run.sorted.(j);
+                    second_read;
+                    first_lc = run.lcs.(j);
+                    second_lc = run.lcs.(i);
+                  }
+                  :: !acc
+            done)
+        run.sorted;
       !acc)
-    by_key []
-  (* key-group order is hash order; sort so the report is a function of
-     the history alone (R7) *)
+    (read_runs ops)
   |> List.sort (fun a b ->
          match Int.compare a.first_read.History.id b.first_read.History.id with
          | 0 -> Int.compare a.second_read.History.id b.second_read.History.id
@@ -159,7 +207,12 @@ let new_old_inversions ops =
 
 let is_atomic ops =
   is_regular ops
-  && match new_old_inversions ops with [] -> true | _ :: _ -> false
+  && not
+       (List.exists
+          (fun run ->
+            let rec from i = i < Array.length run.sorted && (inverted run i || from (i + 1)) in
+            from 0)
+          (read_runs ops))
 
 let pp_report ppf report =
   Format.fprintf ppf "reads=%d checked=%d violations=%d" report.reads report.checked

@@ -11,7 +11,16 @@
 
     The checker is used two ways: asserting that the quorum protocols
     never violate regularity (even under crashes, loss, duplication and
-    partitions), and {e measuring} how often ROWA-Async does. *)
+    partitions), and {e measuring} how often ROWA-Async does.
+
+    Tie rules: among completed writes with equal logical clocks, the
+    later one in input order is the freshest; a value written more than
+    once is attributed to its last write in input order.
+
+    Cost: [check] indexes each key's completed writes by response time
+    with a running maximum of their clocks (see {!Write_index}) and
+    binary-searches it per read, so it takes O((R + W) log W) for R
+    reads and W writes. *)
 
 type violation = {
   read : History.op;
@@ -45,13 +54,17 @@ val new_old_inversions : History.op list -> inversion list
 (** Pairs of non-overlapping completed reads of the same key where the
     later read returned an older write — permitted by regular
     semantics (when concurrent with writes) but forbidden by atomic
-    (linearizable) semantics. *)
+    (linearizable) semantics. Sorted by first then second read id.
+    Reads are ordered by response time, equal times in reverse input
+    order, and a pair's first read precedes its second in that order.
+    Costs O(R log R) plus the number of pairs reported. *)
 
 val is_atomic : History.op list -> bool
 (** Regular and free of new-old inversions. For histories whose writes
     carry unique values and totally ordered logical clocks (all
     histories produced by this harness), this is the standard
-    atomicity condition for read/write registers. *)
+    atomicity condition for read/write registers. Stops at the first
+    inversion; O((R + W) log (R + W)). *)
 
 (** {2 Session guarantees (Bayou; the paper's reference [26])} *)
 

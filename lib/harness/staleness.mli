@@ -10,7 +10,17 @@
     - {b version staleness}: how many completed writes the read lagged
       behind.
 
-    For protocols with regular semantics both are always zero. *)
+    For protocols with regular semantics both are always zero.
+
+    Tie rules: completed writes with equal logical clocks each count
+    toward [versions_behind]; for the read age, a clock written more
+    than once resolves to its first completed write in input order.
+
+    Cost: both measures index each key's completed writes once (see
+    {!Write_index}). [measure] sweeps each key's reads in invocation
+    order against its writes in response order through a Fenwick tree
+    over clock ranks; [measure_age] binary-searches the writes in clock
+    order. Both take O((R + W) log W) for R reads and W writes. *)
 
 type stale_read = {
   read : History.op;
