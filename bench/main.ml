@@ -14,7 +14,6 @@
 
 module E = Dq_harness.Experiment
 module Render = Dq_harness.Render
-module Sites = Dq_harness.Sites
 module Table = Dq_util.Table
 open Bechamel
 open Toolkit
@@ -169,7 +168,9 @@ let engine_churn () =
   done;
   Dq_sim.Engine.run engine
 
-let dqvl_sim ~ops () =
+(* DQVL through [Driver.run] on the paper topology, seed 7: the cluster
+   is built here, and the returned thunk issues the workload. *)
+let dqvl_setup ~ops =
   let engine = Dq_sim.Engine.create ~seed:7L () in
   let topology = E.paper_topology () in
   let builder = Dq_harness.Registry.dqvl ~volume_lease_ms:1_000. ~proactive_renew:false () in
@@ -178,7 +179,9 @@ let dqvl_sim ~ops () =
   let config =
     { (Dq_harness.Driver.default_config spec) with Dq_harness.Driver.ops_per_client = ops }
   in
-  ignore (Dq_harness.Driver.run engine topology instance.Dq_harness.Registry.api config)
+  (engine, fun () -> Dq_harness.Driver.run engine topology instance.Dq_harness.Registry.api config)
+
+let dqvl_sim ~ops () = ignore ((snd (dqvl_setup ~ops)) ())
 
 let tests =
   Test.make_grouped ~name:"dual-quorum" ~fmt:"%s %s"
@@ -296,61 +299,33 @@ let warn_advisory ~jobs =
        timings are advisory (recorded with \"advisory\": true)\n%!"
       jobs cores
 
-(* --- events per second: the PDES headline ------------------------------- *)
+(* --- events per second: DQVL on the paper topology ---------------------- *)
 
-(* ~10^6-event site-partitioned workload (see lib/harness/sites.ml):
-   8 sites x 8 closed-loop clients x 4000 ops. The serial and pooled
-   runs are required to be bit-identical; throughput is reported for
-   both so the headline captures the engine, not just the pool. *)
-let eps_config =
-  { Sites.default with n_sites = 8; clients_per_site = 8; ops_per_client = 4000 }
+(* Serial throughput of the real protocol, timed from workload issue
+   through the regular-semantics checker's verdict; any violation
+   fails the run. *)
+type eps = { workload_events : int; serial_eps : float }
 
-type eps = {
-  workload_events : int;
-  serial_eps : float;
-  parallel_eps : float option;
-}
-
-let check_deterministic ~what (a : Sites.result) (b : Sites.result) =
-  (* [compare]: histories contain floats, and the total order treats
-     NaN = NaN (none are expected here anyway). *)
-  if compare a b <> 0 then begin
-    Printf.eprintf "%s: parallel PDES run differs from serial oracle\n%!" what;
+let run_events_per_sec ~ops =
+  section "Events per second: DQVL on the paper topology";
+  let engine, run = dqvl_setup ~ops in
+  let violations = ref 0 in
+  let dt =
+    time_it (fun () ->
+        let result = run () in
+        let report = Dq_harness.Regular_checker.check result.Dq_harness.Driver.history in
+        violations := List.length report.Dq_harness.Regular_checker.violations)
+  in
+  if !violations <> 0 then begin
+    Printf.eprintf "events_per_sec: %d regular-register violations\n%!" !violations;
     exit 1
   end;
-  if a.Sites.violations <> 0 then begin
-    Printf.eprintf "%s: %d regular-register violations\n%!" what a.Sites.violations;
-    exit 1
-  end
-
-let run_events_per_sec ~jobs cfg =
-  section "Events per second: site-partitioned PDES workload";
-  let serial_res = ref None in
-  let dt_serial = time_it (fun () -> serial_res := Some (Sites.run cfg)) in
-  let serial_res = Option.get !serial_res in
-  let serial_eps = float_of_int serial_res.Sites.events /. dt_serial in
-  let parallel_eps =
-    if jobs <= 1 then None
-    else begin
-      let par_res = ref None in
-      let dt =
-        time_it (fun () ->
-            Dq_par.Pool.with_pool ~jobs (fun pool ->
-                par_res := Some (Sites.run ~pool cfg)))
-      in
-      check_deterministic ~what:"events_per_sec" serial_res (Option.get !par_res);
-      Some (float_of_int serial_res.Sites.events /. dt)
-    end
-  in
+  let events = Dq_sim.Engine.events_executed engine in
+  let serial_eps = float_of_int events /. dt in
   let t = Table.create ~header:[ "mode"; "events"; "events/s" ] in
-  let row name eps =
-    Table.add_row t
-      [ name; string_of_int serial_res.Sites.events; Printf.sprintf "%.0f" eps ]
-  in
-  row "serial" serial_eps;
-  Option.iter (row (Printf.sprintf "parallel -j %d" jobs)) parallel_eps;
+  Table.add_row t [ "serial"; string_of_int events; Printf.sprintf "%.0f" serial_eps ];
   Table.print t;
-  { workload_events = serial_res.Sites.events; serial_eps; parallel_eps }
+  { workload_events = events; serial_eps }
 
 (* --- BENCH_<n>.json ------------------------------------------------------ *)
 
@@ -370,9 +345,9 @@ let json_float x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
 
 let json_opt = function Some x -> json_float x | None -> "null"
 
-(* Parallel timings (per-figure, total, events_per_sec.parallel) carry
-   "advisory": true when taken on a single-core host — they measure
-   pool overhead there, not speedup. *)
+(* Parallel timings (per-figure, total) carry "advisory": true when
+   taken on a single-core host — they measure pool overhead there, not
+   speedup. events_per_sec is serial only; its "parallel" stays null. *)
 let write_bench_json ~out ~jobs ~serial ~parallel ~micro ~events =
   let oc = open_out out in
   let adv = advisory ~jobs in
@@ -405,10 +380,8 @@ let write_bench_json ~out ~jobs ~serial ~parallel ~micro ~events =
     match events with
     | None -> "null"
     | Some e ->
-      Printf.sprintf
-        "{\"workload_events\": %d, \"serial\": %s, \"parallel\": %s%s}"
-        e.workload_events (json_float e.serial_eps) (json_opt e.parallel_eps)
-        (adv_field (e.parallel_eps <> None))
+      Printf.sprintf "{\"workload_events\": %d, \"serial\": %s, \"parallel\": null}"
+        e.workload_events (json_float e.serial_eps)
   in
   Printf.fprintf oc
     "{\n\
@@ -451,20 +424,9 @@ let run_smoke ~jobs ~out =
     prerr_endline "smoke FAILED: parallel output differs from serial";
     exit 1
   end;
-  (* PDES determinism diff: the site-partitioned workload, with loss
-     and a crash window, serial vs pooled — histories, merged metrics
-     JSON, counters and checker verdicts must all match. *)
-  section (Printf.sprintf "Smoke: PDES serial oracle vs -j %d (must be bit-identical)" jobs);
-  let cfg = { Sites.default with loss = 0.02; crash_sites = 1; seed = 7L } in
-  let serial = Sites.run cfg in
-  let pooled = Dq_par.Pool.with_pool ~jobs (fun pool -> Sites.run ~pool cfg) in
-  check_deterministic ~what:"smoke PDES" serial pooled;
-  Printf.printf
-    "smoke OK: PDES bit-identical (%d events, %d windows, %d ops, 0 violations)\n"
-    serial.Sites.events serial.Sites.windows serial.Sites.ops_completed;
   (* A small throughput sample so CI validates the schema-2 JSON shape
      (figures/microbench stay empty in smoke mode). *)
-  let eps = run_events_per_sec ~jobs { cfg with ops_per_client = 200 } in
+  let eps = run_events_per_sec ~ops:200 in
   write_bench_json ~out ~jobs ~serial:[] ~parallel:[] ~micro:[] ~events:(Some eps)
 
 (* --- entry point ---------------------------------------------------------- *)
@@ -531,7 +493,7 @@ let () =
       end
     in
     E.set_jobs 1;
-    let events = run_events_per_sec ~jobs eps_config in
+    let events = run_events_per_sec ~ops:10_000 in
     let micro = run_benchmarks () in
     write_bench_json ~out ~jobs ~serial ~parallel ~micro ~events:(Some events)
   end

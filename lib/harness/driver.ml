@@ -4,6 +4,7 @@ module Spec = Dq_workload.Spec
 module Generator = Dq_workload.Generator
 module Stats = Dq_util.Stats
 module R = Dq_intf.Replication
+module Metrics = Dq_telemetry.Metrics
 
 type config = {
   spec : Spec.t;
@@ -277,15 +278,15 @@ let run_with_events engine topology (api : R.api) config ~events ~on_net_event =
       in
       arrivals 0
   in
-  let before_messages = Dq_net.Msg_stats.remote_total (api.R.message_stats ()) in
-  let before_bytes = Dq_net.Msg_stats.remote_bytes (api.R.message_stats ()) in
+  let before_messages = Metrics.remote_total (api.R.message_stats ()) in
+  let before_bytes = Metrics.remote_bytes (api.R.message_stats ()) in
   List.iter start_client clients;
   Engine.run_while engine (fun () ->
       !unfinished > 0 && Engine.now engine <= config.horizon_ms);
   api.R.quiesce ();
-  let after_messages = Dq_net.Msg_stats.remote_total (api.R.message_stats ()) in
+  let after_messages = Metrics.remote_total (api.R.message_stats ()) in
   let remote_messages = after_messages - before_messages in
-  let remote_bytes = Dq_net.Msg_stats.remote_bytes (api.R.message_stats ()) - before_bytes in
+  let remote_bytes = Metrics.remote_bytes (api.R.message_stats ()) - before_bytes in
   let requests = Stdlib.max 1 !issued in
   {
     protocol = api.R.protocol_name;

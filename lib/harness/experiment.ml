@@ -448,7 +448,7 @@ let ablation_batch_renewals ?(seed = 42L) () =
       Option.value
         (List.find_map
            (fun (l, n) -> if String.equal l label then Some n else None)
-           (Dq_net.Msg_stats.by_label ~include_local:false stats))
+           (Dq_telemetry.Metrics.by_label ~include_local:false stats))
         ~default:0
     in
     count "vol_renew_req" + count "vols_renew_req"

@@ -26,7 +26,7 @@ type api = {
   crash_server : int -> unit;
   recover_server : int -> unit;
   server_up : int -> bool;
-  message_stats : unit -> Dq_net.Msg_stats.t;
+  message_stats : unit -> Dq_telemetry.Metrics.t;
   quiesce : unit -> unit;
 }
 

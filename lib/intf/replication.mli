@@ -46,7 +46,7 @@ type api = {
   crash_server : int -> unit;
   recover_server : int -> unit;
   server_up : int -> bool;
-  message_stats : unit -> Dq_net.Msg_stats.t;
+  message_stats : unit -> Dq_telemetry.Metrics.t;
   quiesce : unit -> unit;
       (** Ask the protocol to stop any periodic background work (e.g.
           proactive lease renewal, anti-entropy) so a simulation can

@@ -293,9 +293,10 @@ let report ctx id ~loc fmt =
     fmt
 
 (* R5: one closure handed to Pool.map/map_array (runs on a pool worker
-   domain) or to Pdes.post (runs on the destination partition's
-   domain). [race] names the crossing in the message. *)
-let check_worker_closure ctx ~race closure =
+   domain). *)
+let race = "data race across pool domains"
+
+let check_worker_closure ctx closure =
   let locals = bound_idents_within closure in
   let it =
     {
@@ -335,17 +336,9 @@ let check_worker_closure ctx ~race closure =
   in
   it.expr it closure
 
-let pool_race = "data race across pool domains"
-
-let pdes_race =
-  "the post callback runs on the destination partition's domain; mutate only \
-   destination-owned state or communicate through the mailbox API"
-
 let is_pool_map_callee p =
   let n = Path.name p in
   ends_with ~suffix:"Pool.map" n || ends_with ~suffix:"Pool.map_array" n
-
-let is_pdes_post_callee p = ends_with ~suffix:"Pdes.post" (Path.name p)
 
 (* Point checks that only need to look at one identifier occurrence. *)
 let check_ident ctx e p =
@@ -529,9 +522,8 @@ let check_expr_node ctx e =
         "telemetry publish constructs its event outside a Bus.subscribed \
          guard; wrap it in 'if Bus.subscribed bus then ...' so the no-sink \
          path allocates nothing";
-    (* R5: closure handed to the domain pool or posted across partitions *)
-    let pool = is_pool_map_callee p in
-    if pool || is_pdes_post_callee p then begin
+    (* R5: closure handed to the domain pool *)
+    if is_pool_map_callee p then begin
       match
         List.find_map
           (fun (lbl, a) ->
@@ -542,7 +534,7 @@ let check_expr_node ctx e =
           args
       with
       | Some closure ->
-        check_worker_closure ctx ~race:(if pool then pool_race else pdes_race) closure
+        check_worker_closure ctx closure
       | None -> ()
     end;
     (* R7 point check: ordered accumulation through Hashtbl.iter *)

@@ -76,9 +76,8 @@ let r5 =
     id = "R5";
     name = "domain-safety";
     summary =
-      "closures handed to Dq_par.Pool.map/map_array or Dq_sim.Pdes.post must \
-       not mutate captured refs, fields, arrays or hashtables (cross-domain \
-       race; cross-partition effects go through the mailbox API)";
+      "closures handed to Dq_par.Pool.map/map_array must not mutate \
+       captured refs, fields, arrays or hashtables (cross-domain race)";
     applies = (fun p -> not (under [ "lib/par" ] p));
     scope_doc = "everywhere except lib/par (the pool itself)";
   }

@@ -21,7 +21,7 @@ type 'msg t = {
   rng : Dq_util.Rng.t;
   classify : 'msg -> string;
   size_of : 'msg -> int;
-  stats : Msg_stats.t;
+  stats : Dq_telemetry.Metrics.t;
   nodes : 'msg node_state array;
   mutable faults : fault_model;
   mutable group_of : int array option; (* partition group per node *)
@@ -54,7 +54,7 @@ let create engine topology ?(faults = no_faults) ~classify ?(size_of = fun _ -> 
     rng = Dq_sim.Engine.split_rng engine;
     classify;
     size_of;
-    stats = Msg_stats.create ();
+    stats = Dq_telemetry.Metrics.create ();
     nodes = Array.init n fresh_node;
     faults;
     group_of = None;
@@ -244,7 +244,7 @@ let send t ~src ~dst msg =
     let local = src = dst in
     let label = t.classify msg in
     let bytes = t.size_of msg in
-    Msg_stats.record t.stats ~label ~local ~bytes ();
+    Dq_telemetry.Metrics.record_msg t.stats ~label ~local ~bytes ();
     (* Telemetry must not perturb the RNG draw sequence: the loss draw
        happens only on reachable links and the duplicate draw only on
        non-lost messages, exactly as before the bus existed. *)

@@ -45,7 +45,7 @@ val create :
   ?size_of:('msg -> int) ->
   unit ->
   'msg t
-(** [classify] labels each message for {!Msg_stats} accounting;
+(** [classify] labels each message for {!stats} accounting;
     [size_of] (optional) estimates its wire size in bytes for
     bandwidth accounting. *)
 
@@ -53,7 +53,12 @@ val engine : 'msg t -> Dq_sim.Engine.t
 
 val topology : 'msg t -> Topology.t
 
-val stats : 'msg t -> Msg_stats.t
+val stats : 'msg t -> Dq_telemetry.Metrics.t
+(** The network's always-on message accounting (Figure 9 of the
+    paper): every message accepted by {!send} is counted per label,
+    remote and local (src = dst) deliveries apart. It is fed directly,
+    so the counts do not depend on whether a telemetry sink is
+    attached. *)
 
 val set_faults : 'msg t -> fault_model -> unit
 

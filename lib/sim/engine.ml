@@ -150,17 +150,3 @@ let run ?until ?max_events t =
 let run_while t cond =
   let rec loop () = if cond () && step t then loop () in
   loop ()
-
-(* PDES window execution: fire events strictly below [limit], leaving
-   the clock at the last fired event (never advanced to [limit], so a
-   partition can still accept cross-partition posts inside the next
-   window). *)
-let run_before t ~limit =
-  let rec loop () =
-    match next_time t with
-    | Some time when time < limit ->
-      ignore (step t);
-      loop ()
-    | Some _ | None -> ()
-  in
-  loop ()

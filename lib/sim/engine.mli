@@ -56,15 +56,5 @@ val run_while : t -> (unit -> bool) -> unit
 (** [run_while t cond] fires events while [cond ()] holds and the queue
     is non-empty. [cond] is checked before each event. *)
 
-val run_before : t -> limit:float -> unit
-(** Fire every event with time strictly below [limit], leaving the
-    clock at the last fired event. This is the PDES window primitive:
-    events at or past [limit] stay queued, and the partition can still
-    accept cross-partition work scheduled inside the next window. *)
-
-val next_time : t -> float option
-(** Time of the next event that will actually fire (skipping cancelled
-    events), or [None] if nothing is pending. *)
-
 val events_executed : t -> int
 (** Total events fired since creation. *)

@@ -29,10 +29,10 @@ let create () =
     write_latency = Histogram.create ~buckets:latency_buckets;
   }
 
-let bump table key amount =
+let bump table key =
   match Hashtbl.find_opt table key with
-  | Some r -> r := !r + amount
-  | None -> Hashtbl.add table key (ref amount)
+  | Some r -> incr r
+  | None -> Hashtbl.add table key (ref 1)
 
 let cell t label =
   match Hashtbl.find_opt t.labels label with
@@ -60,25 +60,6 @@ let record_latency t ~kind latency_ms =
   | "read" -> Histogram.add t.read_latency latency_ms
   | "write" -> Histogram.add t.write_latency latency_ms
   | _ -> ()
-
-(* Counter addition commutes and every reported table is re-sorted, so
-   merging per-partition metrics gives one deterministic aggregate no
-   matter the merge order — the parallel engine's metrics equal the
-   serial oracle's. *)
-let merge_into ~src ~dst =
-  dst.remote <- dst.remote + src.remote;
-  dst.local <- dst.local + src.local;
-  dst.bytes <- dst.bytes + src.bytes;
-  Hashtbl.iter
-    (fun label c ->
-      let d = cell dst label in
-      d.c_remote <- d.c_remote + c.c_remote;
-      d.c_local <- d.c_local + c.c_local;
-      d.c_bytes <- d.c_bytes + c.c_bytes)
-    src.labels;
-  Hashtbl.iter (fun name r -> bump dst.events name !r) src.events;
-  Histogram.merge_into ~src:src.read_latency ~dst:dst.read_latency;
-  Histogram.merge_into ~src:src.write_latency ~dst:dst.write_latency
 
 let total t = t.remote + t.local
 
@@ -138,7 +119,7 @@ let reset t =
    histograms. *)
 let sink t : Bus.sink =
  fun ~time_ms:_ ev ->
-  bump t.events (Event.name ev) 1;
+  bump t.events (Event.name ev);
   match ev with
   | Event.Msg_sent { label; bytes; local; _ } -> record_msg t ~label ~local ~bytes ()
   | Event.Op_complete { kind; latency_ms; _ } -> record_latency t ~kind latency_ms

@@ -2,9 +2,9 @@
 
     One [Metrics.t] plays two roles:
 
-    - [Dq_net] owns an always-on instance fed directly through
-      {!record_msg} (the accounting behind [Msg_stats], whose figure
-      tables must not depend on whether telemetry is enabled);
+    - [Dq_net.Net] owns an always-on instance fed directly through
+      {!record_msg} (its [stats], whose figure tables must not depend
+      on whether telemetry is enabled);
     - {!sink} adapts an instance into a bus sink that additionally
       counts every event by kind and feeds operation latencies into
       per-kind histograms — the [--metrics FILE] output. *)
@@ -20,12 +20,6 @@ val record_msg : t -> label:string -> local:bool -> ?bytes:int -> unit -> unit
 val record_latency : t -> kind:string -> float -> unit
 (** Feed an operation latency (ms) into the [kind] histogram
     (["read"] or ["write"]; other kinds are ignored). *)
-
-val merge_into : src:t -> dst:t -> unit
-(** Fold [src]'s counters, per-label tables, event counts and latency
-    histograms into [dst]. Commutative, so per-partition metrics from
-    a parallel run merge into the same aggregate as the serial
-    oracle's single instance. *)
 
 val total : t -> int
 val remote_total : t -> int

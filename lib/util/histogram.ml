@@ -20,18 +20,10 @@ let of_samples ~buckets samples =
   List.iter (add t) samples;
   t
 
-let merge_into ~src ~dst =
-  if
-    Array.length src.bounds <> Array.length dst.bounds
-    || not (Array.for_all2 Float.equal src.bounds dst.bounds)
-  then invalid_arg "Histogram.merge_into: bucket layouts differ";
-  Array.iteri (fun i c -> dst.counts.(i) <- dst.counts.(i) + c) src.counts;
-  dst.total <- dst.total + src.total
-
 let count t = t.total
 
 (* The single quantile/interpolation code path: every bucket-histogram
-   quantile in the tree (merged latency histograms, the AoI sink's age
+   quantile in the tree (the metrics sink's latency histograms, the AoI sink's age
    and staleness distributions) goes through here, so percentile
    semantics can never drift between reporters. Linear interpolation
    within the bucket holding the target rank; bucket 0 interpolates

@@ -11,12 +11,6 @@ val of_samples : buckets:float list -> float list -> t
 
 val add : t -> float -> unit
 
-val merge_into : src:t -> dst:t -> unit
-(** Add [src]'s bucket counts into [dst]. The two histograms must have
-    identical bucket bounds; raises [Invalid_argument] otherwise.
-    Merging is commutative, so per-partition histograms merge to the
-    same result in any order. *)
-
 val count : t -> int
 
 val quantile : t -> float -> float
@@ -24,7 +18,7 @@ val quantile : t -> float -> float
     [q * count t], linearly interpolated inside the bucket that holds
     it (bucket 0 interpolates from 0; the open overflow bucket reports
     the last finite bound). This is the {e only} quantile/interpolation
-    code path for bucket histograms — merged latency histograms and the
+    code path for bucket histograms — the metrics sink's latency histograms and the
     telemetry AoI sink's age distributions all report through it.
     [nan] on an empty histogram; raises [Invalid_argument] on a [q]
     outside [\[0, 1\]]. *)

@@ -6,6 +6,7 @@
 module Engine = Dq_sim.Engine
 module Topology = Dq_net.Topology
 module Net = Dq_net.Net
+module Metrics = Dq_telemetry.Metrics
 module Cluster = Dq_core.Cluster
 module Config = Dq_core.Config
 module R = Dq_intf.Replication
@@ -92,7 +93,7 @@ let test_write_blocks_while_callback_holder_down () =
 let test_write_suppress_no_invalidations () =
   let engine, _, cluster, api = setup () in
   let inval_count () =
-    match List.assoc_opt "inval" (Dq_net.Msg_stats.by_label (Net.stats (Cluster.net cluster))) with
+    match List.assoc_opt "inval" (Metrics.by_label (Net.stats (Cluster.net cluster))) with
     | Some n -> n
     | None -> 0
   in

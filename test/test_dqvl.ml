@@ -4,6 +4,7 @@
 module Engine = Dq_sim.Engine
 module Topology = Dq_net.Topology
 module Net = Dq_net.Net
+module Metrics = Dq_telemetry.Metrics
 module Cluster = Dq_core.Cluster
 module Config = Dq_core.Config
 module Oqs = Dq_core.Oqs_server
@@ -219,7 +220,7 @@ let test_write_suppress_and_through_counts () =
   let engine, _, cluster, api = setup () in
   let inval_count () =
     match
-      List.assoc_opt "inval" (Dq_net.Msg_stats.by_label (Net.stats (Cluster.net cluster)))
+      List.assoc_opt "inval" (Metrics.by_label (Net.stats (Cluster.net cluster)))
     with
     | Some n -> n
     | None -> 0

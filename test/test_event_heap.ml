@@ -24,6 +24,13 @@ let test_ties_broken_by_seq () =
   let h = heap_of [ ((1., 3), 3); ((1., 1), 1); ((1., 2), 2); ((0., 9), 0) ] in
   Alcotest.(check (list int)) "seq order within a tie" [ 0; 1; 2; 3 ] (drain h)
 
+(* Repeated timestamps and payloads are all kept: nothing is merged or
+   dropped. *)
+let test_duplicates () =
+  let h = heap_of [ ((2., 0), 2); ((1., 1), 1); ((2., 2), 2); ((1., 3), 1) ] in
+  Alcotest.(check int) "size" 4 (H.size h);
+  Alcotest.(check (list int)) "sorted with dups" [ 1; 1; 2; 2 ] (drain h)
+
 let test_peek_does_not_remove () =
   let h = heap_of [ ((2., 0), 9) ] in
   Alcotest.(check (option int)) "peek" (Some 9) (H.peek h);
@@ -88,6 +95,7 @@ let () =
           Alcotest.test_case "empty" `Quick test_empty;
           Alcotest.test_case "time order" `Quick test_time_order;
           Alcotest.test_case "ties broken by seq" `Quick test_ties_broken_by_seq;
+          Alcotest.test_case "duplicates" `Quick test_duplicates;
           Alcotest.test_case "peek" `Quick test_peek_does_not_remove;
           Alcotest.test_case "interleaved" `Quick test_interleaved;
         ] );

@@ -44,7 +44,6 @@ let test_bad_fixtures () =
   expect "r3_bad" "R3" 3;
   expect "r4_bad" "R4" 2;
   expect "r5_bad" "R5" 3;
-  expect "r5_post_bad" "R5" 3;
   expect "r6_bad" "R6" 2;
   expect "r7_bad" "R7" 3;
   expect "r8_bad" "R8" 3;
@@ -55,8 +54,8 @@ let test_ok_fixtures () =
     (fun name ->
       Alcotest.(check (list string)) (name ^ " is clean") [] (strings (lint name)))
     [
-      "r1_ok"; "r2_ok"; "r3_ok"; "r4_ok"; "r5_ok"; "r5_post_ok"; "r6_ok";
-      "r7_ok"; "r8_ok"; "r9_ok";
+      "r1_ok"; "r2_ok"; "r3_ok"; "r4_ok"; "r5_ok"; "r6_ok"; "r7_ok"; "r8_ok";
+      "r9_ok";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -87,27 +86,6 @@ let test_golden_r5 () =
     ]
   in
   Alcotest.(check (list string)) "r5_bad golden" expected (strings (lint "r5_bad"))
-
-let test_golden_r5_post () =
-  let expected =
-    [
-      "test/lint_fixtures/r5_post_bad.ml:9:60: [R5] worker closure writes a \
-       captured ref via := (the post callback runs on the destination \
-       partition's domain; mutate only destination-owned state or communicate \
-       through the mailbox API)";
-      "test/lint_fixtures/r5_post_bad.ml:13:60: [R5] worker closure mutates a \
-       captured hash table via Hashtbl.replace (the post callback runs on the \
-       destination partition's domain; mutate only destination-owned state or \
-       communicate through the mailbox API)";
-      "test/lint_fixtures/r5_post_bad.ml:16:60: [R5] worker closure mutates \
-       field 'v' of captured state (the post callback runs on the destination \
-       partition's domain; mutate only destination-owned state or communicate \
-       through the mailbox API)";
-    ]
-  in
-  Alcotest.(check (list string))
-    "r5_post_bad golden" expected
-    (strings (lint "r5_post_bad"))
 
 let test_golden_r6 () =
   let msg how =
@@ -447,7 +425,6 @@ let () =
           Alcotest.test_case "clean fixtures" `Quick test_ok_fixtures;
           Alcotest.test_case "golden R2" `Quick test_golden_r2;
           Alcotest.test_case "golden R5" `Quick test_golden_r5;
-          Alcotest.test_case "golden R5 post" `Quick test_golden_r5_post;
           Alcotest.test_case "golden R6" `Quick test_golden_r6;
           Alcotest.test_case "golden R7" `Quick test_golden_r7;
           Alcotest.test_case "golden R8" `Quick test_golden_r8;

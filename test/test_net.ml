@@ -1,7 +1,7 @@
 module Engine = Dq_sim.Engine
 module Topology = Dq_net.Topology
 module Net = Dq_net.Net
-module Msg_stats = Dq_net.Msg_stats
+module Metrics = Dq_telemetry.Metrics
 
 type msg = Ping of int
 
@@ -57,7 +57,7 @@ let test_loss () =
   Engine.run engine;
   Alcotest.(check int) "all lost" 0 (List.length !received);
   (* Lost messages still count as sent. *)
-  Alcotest.(check int) "counted as sent" 20 (Msg_stats.remote_total (Net.stats net))
+  Alcotest.(check int) "counted as sent" 20 (Metrics.remote_total (Net.stats net))
 
 let test_duplication () =
   let engine, net = make ~faults:{ Net.loss = 0.; duplicate = 1.0; jitter_ms = 0. } () in
@@ -93,7 +93,7 @@ let test_crash_drops_outbound () =
   Net.send net ~src:0 ~dst:1 (Ping 0);
   Engine.run engine;
   Alcotest.(check int) "nothing received" 0 (List.length !received);
-  Alcotest.(check int) "not even counted" 0 (Msg_stats.remote_total (Net.stats net))
+  Alcotest.(check int) "not even counted" 0 (Metrics.remote_total (Net.stats net))
 
 let test_in_flight_message_dropped_if_dest_crashes () =
   let engine, net = make () in
@@ -446,10 +446,10 @@ let test_stats_by_label () =
   Net.send net ~src:0 ~dst:0 (Ping 0);
   Engine.run engine;
   let stats = Net.stats net in
-  Alcotest.(check int) "remote" 1 (Msg_stats.remote_total stats);
-  Alcotest.(check int) "local" 1 (Msg_stats.local_total stats);
-  Alcotest.(check int) "total" 2 (Msg_stats.total stats);
-  Alcotest.(check (list (pair string int))) "labels" [ ("ping", 1) ] (Msg_stats.by_label stats)
+  Alcotest.(check int) "remote" 1 (Metrics.remote_total stats);
+  Alcotest.(check int) "local" 1 (Metrics.local_total stats);
+  Alcotest.(check int) "total" 2 (Metrics.total stats);
+  Alcotest.(check (list (pair string int))) "labels" [ ("ping", 1) ] (Metrics.by_label stats)
 
 let () =
   Alcotest.run "net"

@@ -5,6 +5,7 @@
 module Engine = Dq_sim.Engine
 module Topology = Dq_net.Topology
 module Net = Dq_net.Net
+module Metrics = Dq_telemetry.Metrics
 module Cluster = Dq_core.Cluster
 module Config = Dq_core.Config
 module Oqs = Dq_core.Oqs_server
@@ -64,7 +65,7 @@ let test_write_suppressed_after_reader_lease_lapses () =
   let engine, cluster, api = setup () in
   let inval_count () =
     match
-      List.assoc_opt "inval" (Dq_net.Msg_stats.by_label (Net.stats (Cluster.net cluster)))
+      List.assoc_opt "inval" (Metrics.by_label (Net.stats (Cluster.net cluster)))
     with
     | Some n -> n
     | None -> 0
@@ -85,7 +86,7 @@ let test_write_through_while_lease_valid () =
   let engine, cluster, api = setup () in
   let inval_count () =
     match
-      List.assoc_opt "inval" (Dq_net.Msg_stats.by_label (Net.stats (Cluster.net cluster)))
+      List.assoc_opt "inval" (Metrics.by_label (Net.stats (Cluster.net cluster)))
     with
     | Some n -> n
     | None -> 0

@@ -97,18 +97,6 @@ let test_overflow_handoff () =
   in
   Alcotest.(check (list int)) "horizon overflow ordered" [ 0; 1; 2; 3 ] order
 
-let test_run_before_strict () =
-  let eng = Engine.create () in
-  let fired = ref [] in
-  ignore (Engine.schedule_at eng ~time:1. (fun () -> fired := 1 :: !fired));
-  ignore (Engine.schedule_at eng ~time:2. (fun () -> fired := 2 :: !fired));
-  ignore (Engine.schedule_at eng ~time:3. (fun () -> fired := 3 :: !fired));
-  Engine.run_before eng ~limit:2.;
-  Alcotest.(check (list int)) "strictly below limit" [ 1 ] (List.rev !fired);
-  Alcotest.(check (option (float 1e-9))) "next_time" (Some 2.) (Engine.next_time eng);
-  Engine.run_before eng ~limit:10.;
-  Alcotest.(check (list int)) "rest" [ 1; 2; 3 ] (List.rev !fired)
-
 (* {2 Property: wheel + heap scheduling is order-identical to the
    heap-only model} *)
 
@@ -171,7 +159,6 @@ let () =
           Alcotest.test_case "equal-timestamp FIFO" `Quick test_equal_timestamp_fifo;
           Alcotest.test_case "cancellation" `Quick test_cancellation;
           Alcotest.test_case "wheel-heap overflow handoff" `Quick test_overflow_handoff;
-          Alcotest.test_case "run_before is strict" `Quick test_run_before_strict;
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest

@@ -6,6 +6,7 @@
 module Engine = Dq_sim.Engine
 module Topology = Dq_net.Topology
 module Net = Dq_net.Net
+module Metrics = Dq_telemetry.Metrics
 module Cluster = Dq_core.Cluster
 module Config = Dq_core.Config
 module Oqs = Dq_core.Oqs_server
@@ -25,7 +26,7 @@ let setup () =
 
 let vol_renew_count cluster =
   match
-    List.assoc_opt "vol_renew_req" (Dq_net.Msg_stats.by_label (Net.stats (Cluster.net cluster)))
+    List.assoc_opt "vol_renew_req" (Metrics.by_label (Net.stats (Cluster.net cluster)))
   with
   | Some n -> n
   | None -> 0
@@ -149,7 +150,7 @@ let renewal_traffic ~batch =
   Engine.run ~until:20_000. engine;
   let stats = Net.stats (Cluster.net cluster) in
   let count label =
-    Option.value (List.assoc_opt label (Dq_net.Msg_stats.by_label stats)) ~default:0
+    Option.value (List.assoc_opt label (Metrics.by_label stats)) ~default:0
   in
   api.R.quiesce ();
   (* All leases must still be valid at the end in both modes. *)
