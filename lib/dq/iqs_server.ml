@@ -5,14 +5,17 @@ module Clock = Dq_sim.Clock
 
 (* Per-object durable state: the stored version, the logical clock of
    the last write at the time of the last lease grant (lastReadLC), and
-   the highest acknowledged invalidation per OQS node (lastAckLC). *)
+   the highest acknowledged invalidation per OQS node (lastAckLC).
+   The per-node arrays are indexed by node id and stay empty until the
+   first entry is written. *)
 type obj_state = {
   mutable value : Versioned.t;
   mutable last_read : Lc.t;
-  acks : (int, Lc.t) Hashtbl.t;
-  grants : (int, float) Hashtbl.t;
+  mutable acks : Lc.t array; (* [Lc.zero]: nothing acknowledged *)
+  mutable grants : float array;
       (* per OQS node: local-clock expiry of the last object lease
-         granted to it; only consulted when object leases are finite *)
+         granted to it ([neg_infinity]: none); only consulted when
+         object leases are finite *)
 }
 
 (* Per (volume, OQS node) lease state. [barrier] records the highest
@@ -43,7 +46,7 @@ type sync_progress = {
 type durable = {
   mutable global_lc : Lc.t;
   objects : (Key.t, obj_state) Obj_map.t;
-  vol_peers : (int * int, vol_peer) Obj_map.t; (* (volume, oqs node id) *)
+  vol_peers : (int, vol_peer option array) Obj_map.t; (* volume -> per OQS node id *)
   mutable wiped : bool; (* this replica lost its durable state at least once *)
   mutable sync : sync_progress option; (* Some = the node is in [Syncing] *)
 }
@@ -59,6 +62,7 @@ type t = {
   clock : Clock.t;
   config : Config.t;
   me : int;
+  n_nodes : int; (* length of every per-node array *)
   durable : durable;
   mutable loops : (Key.t, Dq_rpc.Retry.t list ref) Hashtbl.t;
   mutable next_session : int;
@@ -70,14 +74,9 @@ let subscribed t = Dq_telemetry.Bus.subscribed t.bus
 let emit t ev = Dq_telemetry.Bus.emit t.bus ev
 
 let fresh_obj _key =
-  {
-    value = Versioned.initial;
-    last_read = Lc.zero;
-    acks = Hashtbl.create 8;
-    grants = Hashtbl.create 8;
-  }
+  { value = Versioned.initial; last_read = Lc.zero; acks = [||]; grants = [||] }
 
-let fresh_vol_peer _ =
+let fresh_vol_peer () =
   {
     expires = neg_infinity;
     epoch = 0;
@@ -87,21 +86,19 @@ let fresh_vol_peer _ =
   }
 
 let create ~net ~clock ~config ~me =
+  let n_nodes = Dq_net.Topology.n_nodes (Net.topology net) in
   {
     net;
     bus = Dq_sim.Engine.telemetry (Net.engine net);
     clock;
     config;
     me;
+    n_nodes;
     durable =
       {
         global_lc = Lc.zero;
         objects = Obj_map.of_key_default ~default:fresh_obj;
-        vol_peers =
-          Obj_map.create
-            ~hash:(fun (v, j) -> (v * 65599) + j)
-            ~equal:(fun (a, b) (c, d) -> a = c && b = d)
-            ~default:fresh_vol_peer;
+        vol_peers = Obj_map.of_int_default ~default:(fun _ -> Array.make n_nodes None);
         wiped = false;
         sync = None;
       };
@@ -112,13 +109,31 @@ let create ~net ~clock ~config ~me =
 
 let obj t key = Obj_map.get t.durable.objects key
 
-let vol_peer t ~volume ~oqs = Obj_map.get t.durable.vol_peers (volume, oqs)
+(* One volume's lease state for every OQS node, found once per check. *)
+let vol_peers t volume = Obj_map.get t.durable.vol_peers volume
 
-let ack_of o j = Option.value (Hashtbl.find_opt o.acks j) ~default:Lc.zero
+let peer_in peers j =
+  match peers.(j) with
+  | Some vp -> vp
+  | None ->
+    let vp = fresh_vol_peer () in
+    peers.(j) <- Some vp;
+    vp
+
+let vol_peer t ~volume ~oqs = peer_in (vol_peers t volume) oqs
+
+(* Without materializing anything. *)
+let find_vol_peer t ~volume ~oqs =
+  match Obj_map.find_opt t.durable.vol_peers volume with
+  | Some peers -> peers.(oqs)
+  | None -> None
+
+let ack_of o j = if j < Array.length o.acks then o.acks.(j) else Lc.zero
 
 let record_ack t key j lc =
   let o = obj t key in
-  Hashtbl.replace o.acks j (Lc.max (ack_of o j) lc)
+  if Array.length o.acks = 0 then o.acks <- Array.make t.n_nodes Lc.zero;
+  o.acks.(j) <- Lc.max o.acks.(j) lc
 
 let send t dst msg = Net.send t.net ~src:t.me ~dst msg
 
@@ -166,30 +181,30 @@ let enqueue_delayed t vp ~peer ~volume key wlc =
 let object_lease_lapsed t o j =
   match t.config.object_lease_ms with
   | None -> false
-  | Some _ -> (
-    match Hashtbl.find_opt o.grants j with
-    | None -> true
-    | Some expiry -> now t > expiry)
+  | Some _ -> j >= Array.length o.grants || now t > o.grants.(j)
 
-let peer_settled t ~key ~wlc j =
-  let o = obj t key in
+(* [o] is [key]'s state and [peers] its volume's lease state (empty
+   without volume leases), both looked up once by the caller. *)
+let peer_settled t o peers ~key ~wlc j =
   let ack = ack_of o j in
   Lc.(ack > o.last_read) (* suppress: no valid callback at j *)
   || Lc.(ack >= wlc) (* j acknowledged this (or a newer) invalidation *)
   || object_lease_lapsed t o j
   || t.config.use_volume_leases
      &&
-     let volume = Key.volume key in
-     let vp = vol_peer t ~volume ~oqs:j in
+     let vp = peer_in peers j in
      now t > vp.expires
      && begin
           if not (delayed_covers vp key wlc) then
-            enqueue_delayed t vp ~peer:j ~volume key wlc;
+            enqueue_delayed t vp ~peer:j ~volume:(Key.volume key) key wlc;
           delayed_covers vp key wlc
         end
 
+let key_peers t key = if t.config.use_volume_leases then vol_peers t (Key.volume key) else [||]
+
 let owq_invalid t ~key ~wlc =
-  Qs.is_write_quorum t.config.oqs ~present:(peer_settled t ~key ~wlc)
+  let o = obj t key and peers = key_peers t key in
+  Qs.is_write_quorum t.config.oqs ~present:(peer_settled t o peers ~key ~wlc)
 
 let register_loop t key loop =
   match Hashtbl.find_opt t.loops key with
@@ -216,15 +231,16 @@ let ensure_owq_invalid t ~key ~wlc ~on_done =
     match !loop_cell with Some loop -> Dq_rpc.Retry.poke loop | None -> ()
   in
   let attempt ~round:_ =
-    let inval_lc = Lc.max wlc (obj t key).value.lc in
+    let o = obj t key and peers = key_peers t key in
+    let inval_lc = Lc.max wlc o.value.lc in
     let visit j =
-      if not (peer_settled t ~key ~wlc j) then begin
+      if not (peer_settled t o peers ~key ~wlc j) then begin
         send t j (Message.Inval { key; lc = inval_lc });
         (* If j's lease expires before it acknowledges (e.g. j crashed),
            re-evaluate right after expiry so the write blocks for at
            most the lease duration. *)
         if t.config.use_volume_leases then begin
-          let vp = vol_peer t ~volume:(Key.volume key) ~oqs:j in
+          let vp = peer_in peers j in
           if vp.expires > now t then begin
             let delay_ms = Clock.delay_until t.clock vp.expires +. 1. in
             ignore (Net.timer t.net ~node:t.me ~delay_ms poke_self)
@@ -282,7 +298,8 @@ let obj_grant t ~key ~requester ~t0 =
   let lease_ms =
     match t.config.object_lease_ms with
     | Some lease ->
-      Hashtbl.replace o.grants requester (now t +. lease);
+      if Array.length o.grants = 0 then o.grants <- Array.make t.n_nodes neg_infinity;
+      o.grants.(requester) <- now t +. lease;
       lease
     | None -> infinity
   in
@@ -560,17 +577,13 @@ let last_read_lc t key = (obj t key).last_read
 let last_ack_lc t key ~oqs = ack_of (obj t key) oqs
 
 let lease_expires t ~volume ~oqs =
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
-  | Some vp -> vp.expires
-  | None -> neg_infinity
+  match find_vol_peer t ~volume ~oqs with Some vp -> vp.expires | None -> neg_infinity
 
 let epoch t ~volume ~oqs =
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
-  | Some vp -> vp.epoch
-  | None -> 0
+  match find_vol_peer t ~volume ~oqs with Some vp -> vp.epoch | None -> 0
 
 let delayed_count t ~volume ~oqs =
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
+  match find_vol_peer t ~volume ~oqs with
   | Some vp -> Hashtbl.length vp.delayed
   | None -> 0
 
@@ -579,9 +592,7 @@ let local_time t = now t
 let lease_valid_for t ~volume ~oqs =
   (not t.config.use_volume_leases)
   ||
-  match Obj_map.find_opt t.durable.vol_peers (volume, oqs) with
-  | Some vp -> vp.expires > now t
-  | None -> false
+  match find_vol_peer t ~volume ~oqs with Some vp -> vp.expires > now t | None -> false
 
 (* Could this IQS node believe that [oqs] holds a valid callback on
    [key]? False only when the node has positive proof of invalidity

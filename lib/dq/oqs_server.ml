@@ -23,9 +23,11 @@ type ensure = {
   mutable waiters : (Versioned.t -> unit) list;
 }
 
+(* Lease state is kept per volume or key as one array over IQS node ids,
+   whose entries are created on first use. *)
 type cache = {
-  vols : (int * int, vol_from) Obj_map.t; (* (volume, iqs node) *)
-  objs : (Key.t * int, obj_from) Obj_map.t; (* (key, iqs node) *)
+  vols : (int, vol_from option array) Obj_map.t;
+  objs : (Key.t, obj_from option array) Obj_map.t;
   values : (Key.t, Versioned.t) Obj_map.t;
   touched_volumes : (int, unit) Hashtbl.t;
 }
@@ -37,6 +39,7 @@ type t = {
   config : Config.t;
   rng : Dq_util.Rng.t;
   me : int;
+  n_nodes : int; (* length of every per-node array *)
   mutable cache : cache;
   mutable ensuring : (Key.t, ensure) Hashtbl.t;
   renew_timers : (int * int, Dq_sim.Engine.handle) Hashtbl.t;
@@ -47,27 +50,21 @@ let subscribed t = Dq_telemetry.Bus.subscribed t.bus
 
 let emit t ev = Dq_telemetry.Bus.emit t.bus ev
 
-let fresh_vol_from _ = { epoch = 0; expires = neg_infinity }
+let fresh_vol_from () = { epoch = 0; expires = neg_infinity }
 
-let fresh_obj_from _ = { epoch = 0; lc = Lc.zero; valid = false; expires = neg_infinity }
+let fresh_obj_from () = { epoch = 0; lc = Lc.zero; valid = false; expires = neg_infinity }
 
-let fresh_cache () =
+let fresh_cache n_nodes =
+  let per_node _ = Array.make n_nodes None in
   {
-    vols =
-      Obj_map.create
-        ~hash:(fun (v, i) -> (v * 65599) + i)
-        ~equal:(fun (a, b) (c, d) -> a = c && b = d)
-        ~default:fresh_vol_from;
-    objs =
-      Obj_map.create
-        ~hash:(fun (k, i) -> (Key.hash k * 31) + i)
-        ~equal:(fun (k, i) (k', i') -> Key.equal k k' && i = i')
-        ~default:fresh_obj_from;
+    vols = Obj_map.of_int_default ~default:per_node;
+    objs = Obj_map.of_key_default ~default:per_node;
     values = Obj_map.of_key_default ~default:(fun _ -> Versioned.initial);
     touched_volumes = Hashtbl.create 8;
   }
 
 let create ~net ~clock ~config ~rng ~me =
+  let n_nodes = Dq_net.Topology.n_nodes (Net.topology net) in
   {
     net;
     bus = Dq_sim.Engine.telemetry (Net.engine net);
@@ -75,7 +72,8 @@ let create ~net ~clock ~config ~rng ~me =
     config;
     rng;
     me;
-    cache = fresh_cache ();
+    n_nodes;
+    cache = fresh_cache n_nodes;
     ensuring = Hashtbl.create 16;
     renew_timers = Hashtbl.create 16;
     quiesced = false;
@@ -85,26 +83,49 @@ let send t dst msg = Net.send t.net ~src:t.me ~dst msg
 
 let now t = Clock.now t.clock
 
-let vol_from t ~volume ~iqs = Obj_map.get t.cache.vols (volume, iqs)
+let entry fresh slots i =
+  match slots.(i) with
+  | Some e -> e
+  | None ->
+    let e = fresh () in
+    slots.(i) <- Some e;
+    e
 
-let obj_from t key ~iqs = Obj_map.get t.cache.objs (key, iqs)
+let vol_in vols iqs = entry fresh_vol_from vols iqs
 
-let volume_valid_from t ~volume ~iqs =
-  (not t.config.use_volume_leases) || (vol_from t ~volume ~iqs).expires > now t
+let obj_in objs iqs = entry fresh_obj_from objs iqs
 
-let object_valid_from t key ~iqs =
-  let o = obj_from t key ~iqs in
+let vols_of t volume = Obj_map.get t.cache.vols volume
+
+let objs_of t key = Obj_map.get t.cache.objs key
+
+let vol_from t ~volume ~iqs = vol_in (vols_of t volume) iqs
+
+let obj_from t key ~iqs = obj_in (objs_of t key) iqs
+
+let volume_valid_in t vols ~iqs =
+  (not t.config.use_volume_leases) || (vol_in vols iqs).expires > now t
+
+let volume_valid_from t ~volume ~iqs = volume_valid_in t (vols_of t volume) ~iqs
+
+(* [vols] and [objs] are the per-node state of [key]'s volume and of
+   [key] itself. *)
+let object_valid_in t vols objs ~iqs =
+  let o = obj_in objs iqs in
   o.valid
-  && ((not t.config.use_volume_leases)
-     || o.epoch = (vol_from t ~volume:(Key.volume key) ~iqs).epoch)
+  && ((not t.config.use_volume_leases) || o.epoch = (vol_in vols iqs).epoch)
   && (Option.is_none t.config.object_lease_ms || o.expires > now t)
 
-let valid_from t key iqs =
-  volume_valid_from t ~volume:(Key.volume key) ~iqs && object_valid_from t key ~iqs
+let object_valid_from t key ~iqs =
+  object_valid_in t (vols_of t (Key.volume key)) (objs_of t key) ~iqs
 
-(* Condition C: some IQS read quorum from which everything is valid. *)
+let valid_in t vols objs iqs = volume_valid_in t vols ~iqs && object_valid_in t vols objs ~iqs
+
+(* Condition C: some IQS read quorum from which everything is valid.
+   One lookup for the key and one for its volume serve every member. *)
 let is_locally_valid t key =
-  Qs.is_read_quorum t.config.iqs ~present:(fun i -> valid_from t key i)
+  let vols = vols_of t (Key.volume key) and objs = objs_of t key in
+  Qs.is_read_quorum t.config.iqs ~present:(valid_in t vols objs)
 
 let cached t key = Obj_map.get t.cache.values key
 
@@ -237,6 +258,7 @@ let start_ensure t key =
      renewal messages are amortized over every object in the volume. *)
   let attempt ~round:_ =
     let volume = Key.volume key in
+    let vols = vols_of t volume and objs = objs_of t key in
     let quorum =
       Dq_rpc.Qrpc.pick_read_targets ?strategy:t.config.iqs_read_strategy ~rng:t.rng
         ~system:t.config.iqs ~prefer:t.me ()
@@ -245,7 +267,7 @@ let start_ensure t key =
       let in_quorum = List.mem i quorum in
       let vol_fresh =
         (not t.config.use_volume_leases)
-        || (vol_from t ~volume ~iqs:i).expires > now t +. t.config.renew_margin_ms
+        || (vol_in vols i).expires > now t +. t.config.renew_margin_ms
       in
       if (not vol_fresh) && subscribed t then
         emit t (Dq_telemetry.Event.Lease_expired { node = t.me; peer = i; volume });
@@ -253,13 +275,13 @@ let start_ensure t key =
          so the grant arrives under a still-valid lease. The margin is
          capped for very short leases. *)
       let obj_ok =
-        object_valid_from t key ~iqs:i
+        object_valid_in t vols objs ~iqs:i
         &&
         match t.config.object_lease_ms with
         | None -> true
         | Some lease ->
           let margin = Float.min t.config.renew_margin_ms (lease /. 4.) in
-          (obj_from t key ~iqs:i).expires > now t +. margin
+          (obj_in objs i).expires > now t +. margin
       in
       if not vol_fresh then
         send t i
@@ -268,7 +290,7 @@ let start_ensure t key =
                volume;
                t0 = now t;
                want = (if in_quorum && not obj_ok then Some key else None);
-               epoch = (vol_from t ~volume ~iqs:i).epoch;
+               epoch = (vol_in vols i).epoch;
              })
       else if in_quorum && not obj_ok then
         send t i (Message.Obj_renew_req { key; t0 = now t })
@@ -373,7 +395,7 @@ let handle t ~src msg =
     ()
 
 let on_recover t =
-  t.cache <- fresh_cache ();
+  t.cache <- fresh_cache t.n_nodes;
   t.ensuring <- Hashtbl.create 16;
   Hashtbl.reset t.renew_timers
 
@@ -385,8 +407,8 @@ let quiesce t =
 let local_time t = now t
 
 let epoch_from t ~volume ~iqs =
-  match Obj_map.find_opt t.cache.vols (volume, iqs) with
-  | Some vf -> vf.epoch
+  match Obj_map.find_opt t.cache.vols volume with
+  | Some vols -> ( match vols.(iqs) with Some vf -> vf.epoch | None -> 0)
   | None -> 0
 
 (* Earliest future volume-lease expiry, as a virtual-time delay. This is
@@ -395,11 +417,14 @@ let epoch_from t ~volume ~iqs =
 let next_lease_expiry_ms t =
   if not t.config.use_volume_leases then None
   else
-    Obj_map.fold t.cache.vols ~init:None ~f:(fun _ vf acc ->
-        if vf.expires > now t && vf.expires < infinity then begin
-          let delay = Clock.delay_until t.clock vf.expires in
-          match acc with Some best when best <= delay -> acc | Some _ | None -> Some delay
-        end
-        else acc)
+    Obj_map.fold t.cache.vols ~init:None ~f:(fun _ vols acc ->
+        Array.fold_left
+          (fun acc (slot : vol_from option) ->
+            match slot with
+            | Some vf when vf.expires > now t && vf.expires < infinity -> (
+              let delay = Clock.delay_until t.clock vf.expires in
+              match acc with Some best when best <= delay -> acc | Some _ | None -> Some delay)
+            | Some _ | None -> acc)
+          acc vols)
 
 let active_ensure_loops t = Hashtbl.length t.ensuring

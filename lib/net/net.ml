@@ -25,8 +25,10 @@ type 'msg t = {
   nodes : 'msg node_state array;
   mutable faults : fault_model;
   mutable group_of : int array option; (* partition group per node *)
-  cuts : (int * int, unit) Hashtbl.t; (* severed directed links (src, dst) *)
-  link_faults : (int * int, fault_model) Hashtbl.t; (* per-link overrides *)
+  (* Directed-link state, dense over [src * n + dst] so a send indexes
+     it without hashing; both stay empty until first needed. *)
+  mutable cuts : bool array; (* severed directed links *)
+  mutable link_faults : fault_model option array; (* per-link overrides *)
   flap_gens : (int * int, int) Hashtbl.t; (* live flap schedule per link *)
   mutable next_flap_gen : int;
   mutable manual : bool;
@@ -58,8 +60,8 @@ let create engine topology ?(faults = no_faults) ~classify ?(size_of = fun _ -> 
     nodes = Array.init n fresh_node;
     faults;
     group_of = None;
-    cuts = Hashtbl.create 8;
-    link_faults = Hashtbl.create 8;
+    cuts = [||];
+    link_faults = [||];
     flap_gens = Hashtbl.create 8;
     next_flap_gen = 0;
     manual = false;
@@ -90,19 +92,25 @@ let is_up t id =
 
 (* {2 Per-directed-link faults and cuts} *)
 
+let link t ~src ~dst = (src * Array.length t.nodes) + dst
+
+let n_links t = Array.length t.nodes * Array.length t.nodes
+
 let set_link_faults t ~src ~dst faults =
   check_id t src;
   check_id t dst;
-  match faults with
-  | Some f -> Hashtbl.replace t.link_faults (src, dst) f
-  | None -> Hashtbl.remove t.link_faults (src, dst)
+  if Array.length t.link_faults = 0 && Option.is_some faults then
+    t.link_faults <- Array.make (n_links t) None;
+  if Array.length t.link_faults > 0 then t.link_faults.(link t ~src ~dst) <- faults
 
-let link_faults t ~src ~dst = Hashtbl.find_opt t.link_faults (src, dst)
+let link_faults t ~src ~dst =
+  check_id t src;
+  check_id t dst;
+  if Array.length t.link_faults = 0 then None else t.link_faults.(link t ~src ~dst)
 
 let effective_faults t ~src ~dst =
-  match Hashtbl.find_opt t.link_faults (src, dst) with
-  | Some f -> f
-  | None -> t.faults
+  if Array.length t.link_faults = 0 then t.faults
+  else match t.link_faults.(link t ~src ~dst) with Some f -> f | None -> t.faults
 
 (* {2 Gray failure: per-node degradation}
 
@@ -147,11 +155,14 @@ let fold_degrade_loss acc = function
 
 let degrade_delay = function None -> 0. | Some d -> d.extra_delay_ms
 
+let severed t ~src ~dst = Array.length t.cuts > 0 && t.cuts.(link t ~src ~dst)
+
 let cut t ~src ~dst =
   check_id t src;
   check_id t dst;
-  if not (Hashtbl.mem t.cuts (src, dst)) then begin
-    Hashtbl.replace t.cuts (src, dst) ();
+  if not (severed t ~src ~dst) then begin
+    if Array.length t.cuts = 0 then t.cuts <- Array.make (n_links t) false;
+    t.cuts.(link t ~src ~dst) <- true;
     if Dq_telemetry.Bus.subscribed t.bus then
       Dq_telemetry.Bus.emit t.bus (Dq_telemetry.Event.Link_cut { src; dst })
   end
@@ -159,18 +170,21 @@ let cut t ~src ~dst =
 let uncut t ~src ~dst =
   check_id t src;
   check_id t dst;
-  if Hashtbl.mem t.cuts (src, dst) then begin
-    Hashtbl.remove t.cuts (src, dst);
+  if severed t ~src ~dst then begin
+    t.cuts.(link t ~src ~dst) <- false;
     if Dq_telemetry.Bus.subscribed t.bus then
       Dq_telemetry.Bus.emit t.bus (Dq_telemetry.Event.Link_uncut { src; dst })
   end
 
-let is_cut t ~src ~dst = Hashtbl.mem t.cuts (src, dst)
+let is_cut t ~src ~dst =
+  check_id t src;
+  check_id t dst;
+  severed t ~src ~dst
 
-let uncut_all t = Hashtbl.reset t.cuts
+let uncut_all t = Array.fill t.cuts 0 (Array.length t.cuts) false
 
 let reachable t ~src ~dst =
-  (not (Hashtbl.mem t.cuts (src, dst)))
+  (not (severed t ~src ~dst))
   &&
   match t.group_of with
   | None -> true

@@ -1,7 +1,7 @@
 type event = {
   time : float;
   seq : int;
-  action : unit -> unit;
+  mutable action : unit -> unit; (* [ignore] once cancelled *)
   mutable cancelled : bool;
   live : int ref; (* shared with the owning engine *)
 }
@@ -71,10 +71,13 @@ let schedule t ~delay f =
   schedule_at t ~time:(t.clock +. delay) f
 
 (* [live] is decremented exactly once per event: at cancel time, or when
-   the event fires. Popping an already-cancelled event does not touch it. *)
+   the event fires. Popping an already-cancelled event does not touch it.
+   A cancelled event stays queued until its due time, so it drops its
+   action now: whatever the closure holds can be collected at once. *)
 let cancel ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
+    ev.action <- ignore;
     decr ev.live
   end
 

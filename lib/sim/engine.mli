@@ -37,7 +37,9 @@ val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Absolute-time variant; [time] must not be in the past. *)
 
 val cancel : handle -> unit
-(** Cancelling a fired or already-cancelled event is a no-op. *)
+(** Cancelling a fired or already-cancelled event is a no-op. A
+    cancelled event releases its action at once, so the closure and
+    what it captures can be collected before the event's due time. *)
 
 val is_pending : handle -> bool
 

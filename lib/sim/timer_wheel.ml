@@ -13,6 +13,12 @@
    event in a too-late slot never is, so membership is decided by the
    slot index itself.
 
+   The level-2 ring rolls: rotation [r] (counted from [base2]) lives in
+   slot [r mod l2_slots] and is valid for [next2 <= r < next2 +
+   l2_slots], so promoting a rotation frees its slot for the rotation
+   [l2_slots] later and the horizon stays a full level-2 ring past the
+   current window however long the wheel goes without emptying.
+
    Slot buffers are grown-once flat arrays reused across drains, so a
    schedule into the wheel allocates nothing in steady state. *)
 
@@ -26,21 +32,34 @@ type 'a slot = {
 type 'a t = {
   dummy : 'a;
   slot_ms : float;
+  unused : 'a slot; (* shared by every slot never pushed to *)
   l1 : 'a slot array;
   l2 : 'a slot array;
   mutable base1 : float; (* absolute start of the level-1 window *)
   mutable cursor : int; (* current level-1 slot; boundary = end of it *)
-  mutable base2 : float; (* absolute start of the level-2 window *)
-  mutable next2 : int; (* next level-2 slot to promote into level 1 *)
+  mutable base2 : float; (* absolute start of rotation 0 *)
+  mutable next2 : int; (* next rotation to promote into level 1 *)
   mutable count : int; (* events stored across both levels *)
 }
 
 let l1_slots = 256
-let l2_slots = 256
+let l2_slots = 256 (* a power of two: rotation [r] sits in slot [r land (l2_slots - 1)] *)
 
 let fresh_slot () = { times = [||]; seqs = [||]; data = [||]; len = 0 }
 
-let slot_push w s ~time ~seq x =
+(* Push onto slot [idx] (in range) of [ring]. A slot gets its own
+   buffers on its first push, so [create] allocates two arrays rather
+   than 512 slots. *)
+let slot_push w ring idx ~time ~seq x =
+  let s =
+    let s = Array.unsafe_get ring idx in
+    if s != w.unused then s
+    else begin
+      let s = fresh_slot () in
+      Array.unsafe_set ring idx s;
+      s
+    end
+  in
   if s.len = Array.length s.data then begin
     let cap = Stdlib.max 8 (2 * s.len) in
     let times = Array.make cap 0. in
@@ -60,11 +79,13 @@ let slot_push w s ~time ~seq x =
 
 let create ?(slot_ms = 1.0) ~dummy () =
   if slot_ms <= 0. then invalid_arg "Timer_wheel.create: slot_ms must be positive";
+  let unused = fresh_slot () in
   {
     dummy;
     slot_ms;
-    l1 = Array.init l1_slots (fun _ -> fresh_slot ());
-    l2 = Array.init l2_slots (fun _ -> fresh_slot ());
+    unused;
+    l1 = Array.make l1_slots unused;
+    l2 = Array.make l2_slots unused;
     base1 = 0.;
     cursor = 0;
     base2 = 0.;
@@ -81,8 +102,9 @@ let rotation_ms t = t.slot_ms *. float_of_int l1_slots
    strictly below it. *)
 let boundary t = t.base1 +. (t.slot_ms *. float_of_int (t.cursor + 1))
 
-(* Absolute end of the covered horizon (exclusive). *)
-let horizon t = t.base2 +. (rotation_ms t *. float_of_int l2_slots)
+(* Absolute end of the covered horizon (exclusive): the end of the
+   last rotation the level-2 ring can hold. *)
+let horizon t = t.base2 +. (rotation_ms t *. float_of_int (t.next2 + l2_slots))
 
 (* Re-anchor an empty wheel so that [now] sits inside the first slot.
    Callers re-anchor whenever the wheel drains empty, which keeps the
@@ -104,16 +126,17 @@ let add t ~time ~seq x =
       let idx = int_of_float ((time -. t.base1) /. t.slot_ms) in
       if idx <= t.cursor || idx >= l1_slots then false
       else begin
-        slot_push t (Array.unsafe_get t.l1 idx) ~time ~seq x;
+        slot_push t t.l1 idx ~time ~seq x;
         t.count <- t.count + 1;
         true
       end
     end
-    else if time < horizon t then begin
-      let idx = int_of_float ((time -. t.base2) /. rot) in
-      if idx < t.next2 || idx >= l2_slots then false
+    (* [horizon t], written out so the float stays unboxed *)
+    else if time < t.base2 +. (rot *. float_of_int (t.next2 + l2_slots)) then begin
+      let r = int_of_float ((time -. t.base2) /. rot) in
+      if r < t.next2 || r >= t.next2 + l2_slots then false
       else begin
-        slot_push t (Array.unsafe_get t.l2 idx) ~time ~seq x;
+        slot_push t t.l2 (r land (l2_slots - 1)) ~time ~seq x;
         t.count <- t.count + 1;
         true
       end
@@ -121,21 +144,21 @@ let add t ~time ~seq x =
     else false
   end
 
-(* Promote level-2 slot [next2] into the level-1 ring and advance the
-   level-1 window to cover its span. An event landing one slot early
-   from float rounding merely reaches the heap one slot sooner; the
-   [add] index checks guarantee no event can land late. *)
+(* Promote rotation [next2] into the level-1 ring and advance the
+   level-1 window to cover its span; its level-2 slot is then free for
+   rotation [next2 + l2_slots]. An event landing one slot early from
+   float rounding merely reaches the heap one slot sooner; the [add]
+   index checks guarantee no event can land late. *)
 let promote t =
-  if t.next2 >= l2_slots then invalid_arg "Timer_wheel.promote: horizon exhausted";
   t.base1 <- t.base2 +. (rotation_ms t *. float_of_int t.next2);
   t.cursor <- -1;
-  let s = t.l2.(t.next2) in
+  let s = t.l2.(t.next2 land (l2_slots - 1)) in
   t.next2 <- t.next2 + 1;
   for i = 0 to s.len - 1 do
     let time = s.times.(i) in
     let idx = int_of_float ((time -. t.base1) /. t.slot_ms) in
     let idx = Stdlib.min (l1_slots - 1) (Stdlib.max 0 idx) in
-    slot_push t t.l1.(idx) ~time ~seq:s.seqs.(i) s.data.(i)
+    slot_push t t.l1 idx ~time ~seq:s.seqs.(i) s.data.(i)
   done;
   s.len <- 0
 

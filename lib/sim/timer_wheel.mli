@@ -13,8 +13,11 @@
     overflow handoff.
 
     Default geometry: 256 level-1 slots of [slot_ms] (default 1 ms)
-    plus 256 level-2 slots of one level-1 rotation each, covering
-    roughly 65.8 s of virtual time from the last {!rebase}. *)
+    plus a rolling ring of 256 level-2 slots of one level-1 rotation
+    each. Promoting a rotation into level 1 frees its level-2 slot for
+    the rotation 256 later, so the {!horizon} always reaches 256
+    rotations (roughly 65.5 s) past the current level-1 window, however
+    long the wheel goes without emptying. *)
 
 type 'a t
 
@@ -31,7 +34,8 @@ val boundary : 'a t -> float
     below may be fired without consulting the wheel. *)
 
 val horizon : 'a t -> float
-(** Absolute end (exclusive) of the covered range. *)
+(** Absolute end (exclusive) of the covered range. It moves forward
+    with {!advance}. *)
 
 val add : 'a t -> time:float -> seq:int -> 'a -> bool
 (** Store an event; [false] means the wheel cannot hold it (keep it in

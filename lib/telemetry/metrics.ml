@@ -4,46 +4,64 @@ module Histogram = Dq_util.Histogram
    retry/backoff tail. *)
 let latency_buckets = [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000. ]
 
-(* Per-label accounting lives in one cell so the per-message cost is a
-   single hashtable lookup, whichever mix of counters the label needs. *)
+(* Per-label accounting lives in one cell, whichever mix of counters the
+   label needs. *)
 type cell = { mutable c_remote : int; mutable c_local : int; mutable c_bytes : int }
+
+(* Counters by name. Message labels and event names are string
+   literals, so a physical-equality scan over the names in the order
+   they first appeared finds a counter without hashing the string; a
+   name not seen in that form falls back to the table. The table alone
+   is the contents: the scan list only holds each name's first copy. *)
+type 'a named = { by_name : (string, 'a) Hashtbl.t; mutable first_seen : (string * 'a) list }
 
 type t = {
   mutable remote : int;
   mutable local : int;
   mutable bytes : int;
-  labels : (string, cell) Hashtbl.t;
-  events : (string, int ref) Hashtbl.t;
+  labels : cell named;
+  events : int ref named;
   read_latency : Histogram.t;
   write_latency : Histogram.t;
 }
+
+let named size = { by_name = Hashtbl.create size; first_seen = [] }
 
 let create () =
   {
     remote = 0;
     local = 0;
     bytes = 0;
-    labels = Hashtbl.create 16;
-    events = Hashtbl.create 32;
+    labels = named 16;
+    events = named 32;
     read_latency = Histogram.create ~buckets:latency_buckets;
     write_latency = Histogram.create ~buckets:latency_buckets;
   }
 
-let bump table key =
-  match Hashtbl.find_opt table key with
-  | Some r -> incr r
-  | None -> Hashtbl.add table key (ref 1)
+let lookup named name ~fresh =
+  let rec scan = function
+    | (seen, v) :: rest -> if seen == name then v else scan rest
+    | [] -> (
+      match Hashtbl.find_opt named.by_name name with
+      | Some v -> v
+      | None ->
+        let v = fresh () in
+        Hashtbl.add named.by_name name v;
+        named.first_seen <- named.first_seen @ [ (name, v) ];
+        v)
+  in
+  scan named.first_seen
 
-let cell t label =
-  match Hashtbl.find_opt t.labels label with
-  | Some c -> c
-  | None ->
-    let c = { c_remote = 0; c_local = 0; c_bytes = 0 } in
-    Hashtbl.add t.labels label c;
-    c
+let reset_named named =
+  Hashtbl.reset named.by_name;
+  named.first_seen <- []
+
+let bump named name = incr (lookup named name ~fresh:(fun () -> ref 0))
+
+let fresh_cell () = { c_remote = 0; c_local = 0; c_bytes = 0 }
 
 let record_msg t ~label ~local ?(bytes = 0) () =
-  let c = cell t label in
+  let c = lookup t.labels label ~fresh:fresh_cell in
   if local then begin
     t.local <- t.local + 1;
     c.c_local <- c.c_local + 1
@@ -69,8 +87,8 @@ let local_total t = t.local
 
 let remote_bytes t = t.bytes
 
-let sorted table =
-  Hashtbl.fold (fun label r acc -> (label, !r) :: acc) table []
+let sorted named =
+  Hashtbl.fold (fun label r acc -> (label, !r) :: acc) named.by_name []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Project one counter out of the label cells, dropping labels the
@@ -81,7 +99,7 @@ let sorted_cells t value =
     (fun label c acc ->
       let v = value c in
       if v > 0 then (label, v) :: acc else acc)
-    t.labels []
+    t.labels.by_name []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let by_label ?(include_local = false) t =
@@ -95,13 +113,13 @@ let local_by_label t = sorted_cells t (fun c -> c.c_local)
 let bytes_by_label t =
   Hashtbl.fold
     (fun label c acc -> if c.c_remote > 0 then (label, c.c_bytes) :: acc else acc)
-    t.labels []
+    t.labels.by_name []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let event_counts t = sorted t.events
 
 let event_count t name =
-  match Hashtbl.find_opt t.events name with Some r -> !r | None -> 0
+  match Hashtbl.find_opt t.events.by_name name with Some r -> !r | None -> 0
 
 let read_latency t = t.read_latency
 
@@ -111,8 +129,8 @@ let reset t =
   t.remote <- 0;
   t.local <- 0;
   t.bytes <- 0;
-  Hashtbl.reset t.labels;
-  Hashtbl.reset t.events
+  reset_named t.labels;
+  reset_named t.events
 
 (* The bus-facing aggregator: counts every event by kind, mirrors
    message accounting, and feeds operation latencies into the

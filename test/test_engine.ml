@@ -46,6 +46,33 @@ let test_cancel () =
   Engine.run e;
   Alcotest.(check bool) "not fired" false !fired
 
+(* A cancelled event stays queued until its due time, but must not keep
+   what its closure captured alive until then. The watched value is
+   allocated and captured in a separate function so no local root of
+   this frame holds it. *)
+let[@inline never] schedule_watched e ~weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Engine.schedule e ~delay:1000. (fun () -> ignore (Sys.opaque_identity payload))
+
+let test_cancel_releases_closure () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  let fired = ref 0 in
+  ignore (Engine.schedule e ~delay:2000. (fun () -> incr fired));
+  let handle = schedule_watched e ~weak in
+  Alcotest.(check int) "two pending" 2 (Engine.pending_events e);
+  Engine.cancel handle;
+  Alcotest.(check int) "cancelled no longer pending" 1 (Engine.pending_events e);
+  Gc.full_major ();
+  Alcotest.(check bool) "captured value collected before the due time" false
+    (Weak.check weak 0);
+  Alcotest.(check (float 0.)) "no time passed" 0. (Engine.now e);
+  Engine.run e;
+  Alcotest.(check int) "only the live event fired" 1 !fired;
+  Alcotest.(check int) "events executed" 1 (Engine.events_executed e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e)
+
 let test_cancel_idempotent () =
   let e = Engine.create () in
   let handle = Engine.schedule e ~delay:1. (fun () -> ()) in
@@ -167,6 +194,7 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "cancel idempotent" `Quick test_cancel_idempotent;
+          Alcotest.test_case "cancel releases closure" `Quick test_cancel_releases_closure;
           Alcotest.test_case "pending count" `Quick test_pending_count;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "run until with cancelled head" `Quick

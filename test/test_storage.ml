@@ -159,6 +159,13 @@ let prop_lc_max_assoc =
       Lc.equal (Lc.max a (Lc.max b c)) (Lc.max (Lc.max a b) c)
       && Lc.equal (Lc.max a b) (Lc.max b a))
 
+let prop_key_to_string_matches_pp =
+  QCheck.Test.make ~name:"key to_string equals its pp rendering" ~count:500
+    QCheck.(pair (oneof [ small_nat; int_range 0 max_int ]) (oneof [ small_nat; int_range 0 max_int ]))
+    (fun (volume, index) ->
+      let k = Key.make ~volume ~index in
+      String.equal (Key.to_string k) (Format.asprintf "%a" Key.pp k))
+
 let () =
   Alcotest.run "storage"
     [
@@ -188,5 +195,6 @@ let () =
           Alcotest.test_case "composite keys" `Quick test_obj_map_key_keys;
         ] );
       ( "property",
-        List.map QCheck_alcotest.to_alcotest [ prop_obj_map_model; prop_lc_max_assoc ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_obj_map_model; prop_lc_max_assoc; prop_key_to_string_matches_pp ] );
     ]

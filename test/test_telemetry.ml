@@ -132,6 +132,25 @@ let test_metrics_by_label () =
   Alcotest.(check (list (pair string int)))
     "local_by_label" [ ("a", 1) ] (Metrics.local_by_label m)
 
+(* Labels are matched by content: a label built at run time lands in
+   the same cell as the literal it equals, and reset forgets both. *)
+let test_metrics_equal_labels_share_a_cell () =
+  let m = Metrics.create () in
+  let built = String.concat "" [ "in"; "val" ] in
+  Metrics.record_msg m ~label:"inval" ~local:false ~bytes:3 ();
+  Metrics.record_msg m ~label:built ~local:false ~bytes:4 ();
+  Metrics.record_msg m ~label:"inval" ~local:true ();
+  Metrics.record_msg m ~label:built ~local:true ();
+  Alcotest.(check (list (pair string int))) "one remote row" [ ("inval", 2) ] (Metrics.by_label m);
+  Alcotest.(check (list (pair string int))) "one bytes row" [ ("inval", 7) ]
+    (Metrics.bytes_by_label m);
+  Alcotest.(check (list (pair string int))) "one local row" [ ("inval", 2) ]
+    (Metrics.local_by_label m);
+  Metrics.reset m;
+  Metrics.record_msg m ~label:built ~local:false ();
+  Alcotest.(check (list (pair string int))) "counts restart after reset" [ ("inval", 1) ]
+    (Metrics.by_label m)
+
 let test_metrics_sink_counts_events () =
   let m = Metrics.create () in
   let sink = Metrics.sink m in
@@ -210,6 +229,8 @@ let () =
         [
           Alcotest.test_case "by_label / include_local" `Quick test_metrics_by_label;
           Alcotest.test_case "sink counts events" `Quick test_metrics_sink_counts_events;
+          Alcotest.test_case "equal labels share a cell" `Quick
+            test_metrics_equal_labels_share_a_cell;
         ] );
       ( "trace",
         [

@@ -50,6 +50,29 @@ let test_rebase () =
   Alcotest.(check bool) "below new boundary rejected" false (W.add w ~time:5000.4 ~seq:1 1);
   Alcotest.(check bool) "new range accepted" true (W.add w ~time:5002.5 ~seq:2 2)
 
+(* A wheel that never empties (one long timer always pending, as each
+   operation's 30 s timeout is in a closed-loop run) keeps a full
+   level-2 ring of horizon past its current window: 70 s in, a timer
+   5 ms past the boundary still fits. *)
+let test_rolling_horizon () =
+  let w = W.create ~dummy:(-1) () in
+  let seq = ref 0 in
+  let add ~time x =
+    incr seq;
+    W.add w ~time ~seq:!seq x
+  in
+  (* Two self-rescheduling timers: a 5 ms tick and the 30 s timeout. *)
+  let period x = if x = 0 then 5. else 30_000. in
+  ignore (add ~time:5. 0);
+  ignore (add ~time:30_000. 1);
+  while W.boundary w < 70_000. && W.length w > 0 do
+    W.advance w ~drain:(fun ~time ~seq:_ x -> ignore (add ~time:(time +. period x) x))
+  done;
+  Alcotest.(check bool) "add at boundary + 5 ms" true (add ~time:(W.boundary w +. 5.) 0);
+  Alcotest.(check bool) "ran past 70 s without emptying" true (W.boundary w >= 70_000.);
+  Alcotest.(check bool) "horizon a full ring ahead" true
+    (W.horizon w >= W.boundary w +. 65_000.)
+
 (* {2 Engine-level behaviour (wheel + heap together)} *)
 
 let fire_order ~schedule =
@@ -123,6 +146,63 @@ let prop_engine_order_matches_heap_model =
       in
       got = model)
 
+(* Self-rescheduling chains of timers (0.05 to 400 ms apart) next to
+   one always-pending 30 s timer, for 300 s of virtual time: the wheel
+   never empties, so it must roll rather than rebase. The model is a
+   heap-only queue ordered by (time, seq), with seq counting schedules
+   exactly as the engine does. *)
+let prop_rolling_wheel_matches_heap_model =
+  let module Q = Set.Make (struct
+    type t = float * int * int (* time, seq, chain *)
+
+    let compare (ta, sa, _) (tb, sb, _) =
+      let c = Float.compare ta tb in
+      if c <> 0 then c else Int.compare sa sb
+  end) in
+  QCheck.Test.make ~name:"rolling wheel fires in heap-model order over 300 s" ~count:30
+    QCheck.(list_of_size Gen.(int_range 1 6) (list_of_size Gen.(int_range 1 8) (int_range 1 8000)))
+    (fun chains ->
+      let until = 300_000. in
+      let chains = Array.of_list (List.map Array.of_list chains) in
+      (* Chain [-1] is the 30 s timer; chain [c] cycles through its
+         delays, given in units of 0.05 ms. *)
+      let delay c k =
+        if c < 0 then 30_000.
+        else
+          let d = chains.(c) in
+          float_of_int d.(k mod Array.length d) *. 0.05
+      in
+      let starts = List.init (Array.length chains + 1) (fun i -> i - 1) in
+      let eng = Engine.create () in
+      let fired = ref [] in
+      let rec arm c k =
+        ignore
+          (Engine.schedule eng ~delay:(delay c k) (fun () ->
+               fired := (Engine.now eng, c) :: !fired;
+               if Engine.now eng < until then arm c (k + 1)))
+      in
+      List.iter (fun c -> arm c 0) starts;
+      Engine.run eng;
+      let model =
+        let q = ref Q.empty and seq = ref 0 and next_k = Hashtbl.create 8 in
+        let push ~now c =
+          let k = Option.value (Hashtbl.find_opt next_k c) ~default:0 in
+          Hashtbl.replace next_k c (k + 1);
+          q := Q.add (now +. delay c k, !seq, c) !q;
+          incr seq
+        in
+        List.iter (push ~now:0.) starts;
+        let out = ref [] in
+        while not (Q.is_empty !q) do
+          let ((time, _, c) as ev) = Q.min_elt !q in
+          q := Q.remove ev !q;
+          out := (time, c) :: !out;
+          if time < until then push ~now:time c
+        done;
+        List.rev !out
+      in
+      List.rev !fired = model)
+
 let prop_wheel_never_loses_events =
   QCheck.Test.make ~name:"wheel add/advance conserves events" ~count:300
     QCheck.(list (pair (int_range 0 70_000) small_nat))
@@ -153,6 +233,7 @@ let () =
           Alcotest.test_case "advance drains slot batches" `Quick test_advance_drains_in_slot_batches;
           Alcotest.test_case "level-2 promotion" `Quick test_level2_promotion;
           Alcotest.test_case "rebase" `Quick test_rebase;
+          Alcotest.test_case "rolling horizon" `Quick test_rolling_horizon;
         ] );
       ( "engine",
         [
@@ -162,5 +243,9 @@ let () =
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_engine_order_matches_heap_model; prop_wheel_never_loses_events ] );
+          [
+            prop_engine_order_matches_heap_model;
+            prop_rolling_wheel_matches_heap_model;
+            prop_wheel_never_loses_events;
+          ] );
     ]
