@@ -28,176 +28,224 @@ module Csv = Dq_harness.Csv
 
 (* --- fig ---------------------------------------------------------------- *)
 
+module Pool = Dq_par.Pool
+
 let csv_note = function
   | Some path -> Printf.printf "(wrote %s)\n" path
   | None -> ()
 
-let print_fig id seed ops csv_dir =
-  let f2 x = Printf.sprintf "%.2f" x in
-  let csv_series ~name ~x_label ~x_of points =
-    csv_note
-      (Option.map (fun dir -> Csv.write_series ~dir ~name ~x_label ~x_of points) csv_dir)
-  in
-  let csv_rows ~name rows =
-    csv_note
-      (Option.map
-         (fun dir ->
-           Csv.write_rows ~dir ~name
-             ~header:[ "protocol"; "read_ms"; "write_ms"; "overall_ms"; "completed"; "failed" ]
-             (List.map
-                (fun (r : E.response_row) ->
-                  [
-                    r.E.protocol;
-                    Printf.sprintf "%.3f" r.E.read_ms;
-                    Printf.sprintf "%.3f" r.E.write_ms;
-                    Printf.sprintf "%.3f" r.E.overall_ms;
-                    string_of_int r.E.completed;
-                    string_of_int r.E.failed;
-                  ])
-                rows))
-         csv_dir)
-  in
-  match id with
-  | "6a" ->
-    let rows = E.fig6a ~seed ~ops () in
-    Table.print (Render.response_rows ~title:"fig6a: 5% writes" rows);
-    csv_rows ~name:"fig6a" rows
-  | "6b" ->
-    let sweep = E.fig6b ~seed ~ops () in
-    Table.print (Render.sweep ~title:"fig6b:" ~x_label:"write ratio" ~x_of:f2 sweep);
-    csv_series ~name:"fig6b" ~x_label:"write_ratio" ~x_of:f2
-      (List.map
-         (fun (w, rows) ->
-           (w, List.map (fun (r : E.response_row) -> (r.E.protocol, r.E.overall_ms)) rows))
-         sweep)
-  | "7a" ->
-    let rows = E.fig7a ~seed ~ops () in
-    Table.print (Render.response_rows ~title:"fig7a: 5% writes, 90% locality" rows);
-    csv_rows ~name:"fig7a" rows
-  | "7b" ->
-    let sweep = E.fig7b ~seed ~ops () in
-    Table.print (Render.sweep ~title:"fig7b:" ~x_label:"locality" ~x_of:f2 sweep);
-    csv_series ~name:"fig7b" ~x_label:"locality" ~x_of:f2
-      (List.map
-         (fun (l, rows) ->
-           (l, List.map (fun (r : E.response_row) -> (r.E.protocol, r.E.overall_ms)) rows))
-         sweep)
-  | "8a" ->
-    let sweep = E.fig8a () in
-    Table.print
-      (Render.series ~title:"fig8a: unavailability," ~x_label:"write ratio" ~x_of:f2
-         ~fmt:Render.scientific sweep);
-    csv_series ~name:"fig8a" ~x_label:"write_ratio" ~x_of:f2 sweep
-  | "8b" ->
-    let sweep = E.fig8b () in
-    Table.print
-      (Render.series ~title:"fig8b: unavailability," ~x_label:"replicas"
-         ~x_of:string_of_int ~fmt:Render.scientific sweep);
-    csv_series ~name:"fig8b" ~x_label:"replicas" ~x_of:string_of_int sweep
-  | "9a" ->
-    let sweep = E.fig9a () in
-    csv_series ~name:"fig9a" ~x_label:"write_ratio" ~x_of:f2 sweep;
-    Table.print
-      (Render.series ~title:"fig9a: msgs/request (model)," ~x_label:"write ratio"
-         ~x_of:f2 sweep);
-    let measured = E.fig9a_measured ~seed ~ops () in
-    Table.print
-      (Render.series ~title:"fig9a: msgs/request (measured dqvl)," ~x_label:"write ratio"
-         ~x_of:f2
-         (List.map (fun (w, v) -> (w, [ ("dqvl", v) ])) measured))
-  | "9b" ->
-    let sweep = E.fig9b () in
-    Table.print
-      (Render.series ~title:"fig9b: msgs/request," ~x_label:"OQS size"
-         ~x_of:string_of_int sweep);
-    csv_series ~name:"fig9b" ~x_label:"oqs_size" ~x_of:string_of_int sweep
-  | "8m" ->
-    (* simulation cross-check of figure 8 *)
-    let t = Table.create ~header:[ "protocol"; "measured unavailability (p=0.1)" ] in
-    List.iter
-      (fun (name, u) -> Table.add_row t [ name; Render.scientific u ])
-      (E.fig8_measured ~seed ~ops ());
-    Table.print t
-  | other -> Printf.eprintf "unknown figure %S (expected 6a..9b, or 8m)\n" other
+let f2 x = Printf.sprintf "%.2f" x
+
+let csv_series csv_dir ~name ~x_label ~x_of points =
+  csv_note (Option.map (fun dir -> Csv.write_series ~dir ~name ~x_label ~x_of points) csv_dir)
+
+let csv_rows csv_dir ~name rows =
+  csv_note
+    (Option.map
+       (fun dir ->
+         Csv.write_rows ~dir ~name
+           ~header:[ "protocol"; "read_ms"; "write_ms"; "overall_ms"; "completed"; "failed" ]
+           (List.map
+              (fun (r : E.response_row) ->
+                [
+                  r.E.protocol;
+                  Printf.sprintf "%.3f" r.E.read_ms;
+                  Printf.sprintf "%.3f" r.E.write_ms;
+                  Printf.sprintf "%.3f" r.E.overall_ms;
+                  string_of_int r.E.completed;
+                  string_of_int r.E.failed;
+                ])
+              rows))
+       csv_dir)
+
+let overall_series sweep =
+  List.map
+    (fun (x, rows) ->
+      (x, List.map (fun (r : E.response_row) -> (r.E.protocol, r.E.overall_ms)) rows))
+    sweep
+
+(* Every figure id with its printer: the one list [dqr fig] accepts. *)
+let figures =
+  [
+    ( "6a",
+      fun ~pool ~seed ~ops ~csv ->
+        let rows = E.fig6a ~pool ~seed ~ops () in
+        Table.print (Render.response_rows ~title:"fig6a: 5% writes" rows);
+        csv_rows csv ~name:"fig6a" rows );
+    ( "6b",
+      fun ~pool ~seed ~ops ~csv ->
+        let sweep = E.fig6b ~pool ~seed ~ops () in
+        Table.print (Render.sweep ~title:"fig6b:" ~x_label:"write ratio" ~x_of:f2 sweep);
+        csv_series csv ~name:"fig6b" ~x_label:"write_ratio" ~x_of:f2 (overall_series sweep) );
+    ( "7a",
+      fun ~pool ~seed ~ops ~csv ->
+        let rows = E.fig7a ~pool ~seed ~ops () in
+        Table.print (Render.response_rows ~title:"fig7a: 5% writes, 90% locality" rows);
+        csv_rows csv ~name:"fig7a" rows );
+    ( "7b",
+      fun ~pool ~seed ~ops ~csv ->
+        let sweep = E.fig7b ~pool ~seed ~ops () in
+        Table.print (Render.sweep ~title:"fig7b:" ~x_label:"locality" ~x_of:f2 sweep);
+        csv_series csv ~name:"fig7b" ~x_label:"locality" ~x_of:f2 (overall_series sweep) );
+    ( "8a",
+      fun ~pool:_ ~seed:_ ~ops:_ ~csv ->
+        let sweep = E.fig8a () in
+        Table.print
+          (Render.series ~title:"fig8a: unavailability," ~x_label:"write ratio" ~x_of:f2
+             ~fmt:Render.scientific sweep);
+        csv_series csv ~name:"fig8a" ~x_label:"write_ratio" ~x_of:f2 sweep );
+    ( "8b",
+      fun ~pool:_ ~seed:_ ~ops:_ ~csv ->
+        let sweep = E.fig8b () in
+        Table.print
+          (Render.series ~title:"fig8b: unavailability," ~x_label:"replicas"
+             ~x_of:string_of_int ~fmt:Render.scientific sweep);
+        csv_series csv ~name:"fig8b" ~x_label:"replicas" ~x_of:string_of_int sweep );
+    ( "8m",
+      (* simulation cross-check of figure 8, next to the model at the
+         same p on the nine-server topology *)
+      fun ~pool ~seed ~ops ~csv:_ ->
+        let model =
+          match E.fig8a ~p:0.1 ~n:9 ~write_ratios:[ 0.25 ] () with
+          | [ (_, series) ] -> series
+          | _ -> []
+        in
+        let t =
+          Table.create
+            ~header:[ "protocol"; "measured unavailability (p=0.1)"; "model unavail (p=0.1)" ]
+        in
+        List.iter
+          (fun (name, u) ->
+            Table.add_row t
+              [
+                name;
+                Render.scientific u;
+                (match List.assoc_opt name model with
+                | Some v -> Render.scientific v
+                | None -> "-");
+              ])
+          (E.fig8_measured ~pool ~seed ~ops ());
+        Table.print t );
+    ( "9a",
+      fun ~pool ~seed ~ops ~csv ->
+        let sweep = E.fig9a () in
+        csv_series csv ~name:"fig9a" ~x_label:"write_ratio" ~x_of:f2 sweep;
+        Table.print
+          (Render.series ~title:"fig9a: msgs/request (model)," ~x_label:"write ratio"
+             ~x_of:f2 sweep);
+        let measured = E.fig9a_measured ~pool ~seed ~ops () in
+        Table.print
+          (Render.series ~title:"fig9a: msgs/request (measured dqvl)," ~x_label:"write ratio"
+             ~x_of:f2
+             (List.map (fun (w, v) -> (w, [ ("dqvl", v) ])) measured)) );
+    ( "9b",
+      fun ~pool:_ ~seed:_ ~ops:_ ~csv ->
+        let sweep = E.fig9b () in
+        Table.print
+          (Render.series ~title:"fig9b: msgs/request," ~x_label:"OQS size"
+             ~x_of:string_of_int sweep);
+        csv_series csv ~name:"fig9b" ~x_label:"oqs_size" ~x_of:string_of_int sweep );
+  ]
 
 let fig_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"FIGURE" ~doc:"6a, 6b, 7a, 7b, 8a, 8b, 9a or 9b.")
+  let print =
+    Arg.(
+      required
+      & pos 0 (some (enum figures)) None
+      & info [] ~docv:"FIGURE" ~doc:("The figure, " ^ Arg.doc_alts_enum figures ^ "."))
   in
   let csv_dir =
     Arg.(
       value & opt (some string) None
       & info [ "csv" ] ~docv:"DIR" ~doc:"Also write the data as DIR/<figure>.csv.")
   in
-  let run id seed ops csv = print_fig id seed ops csv in
+  (* The simulation commands fan their runs across one domain pool,
+     sized by DQ_JOBS (else the machine's core count); the output is the
+     same for every size. *)
+  let run print seed ops csv = Pool.with_pool (fun pool -> print ~pool ~seed ~ops ~csv) in
   Cmd.v (Cmd.info "fig" ~doc:"Regenerate one of the paper's figures")
-    Term.(const run $ id $ seed_arg $ ops_arg 200 $ csv_dir)
+    Term.(const run $ print $ seed_arg $ ops_arg 200 $ csv_dir)
 
 (* --- ablation ------------------------------------------------------------ *)
 
-let print_ablation id seed ops =
-  match id with
-  | "leases" ->
-    Table.print
-      (Render.response_rows ~title:"ablation: volume leases" (E.ablation_leases ~seed ~ops ()))
-  | "lease-len" ->
-    let rows = E.ablation_lease_len ~seed ~ops () in
-    Table.print
-      (Render.response_rows ~title:"ablation: lease length"
-         (List.map
-            (fun (lease, r) ->
-              { r with E.protocol = Printf.sprintf "dqvl L=%.0fms" lease })
-            rows))
-  | "bursts" ->
-    let rows = E.ablation_bursts ~seed ~ops () in
-    Table.print
-      (Render.response_rows ~title:"ablation: burst length (w=0.5)"
-         (List.map
-            (fun (mean, r) -> { r with E.protocol = Printf.sprintf "dqvl burst=%.0f" mean })
-            rows))
-  | "orq" ->
-    let rows = E.ablation_orq ~seed ~ops () in
-    Table.print
-      (Render.response_rows ~title:"ablation: OQS read quorum size"
-         (List.map (fun (_, r) -> r) rows))
-  | "grid" ->
-    Table.print
-      (Render.series ~title:"ablation: grid vs majority unavailability," ~x_label:"replicas"
-         ~x_of:string_of_int ~fmt:Render.scientific (E.ablation_grid ()))
-  | "atomic" ->
-    Table.print
-      (Render.response_rows ~title:"ablation: atomic semantics" (E.ablation_atomic ~seed ~ops ()))
-  | "object-lease" ->
-    let t = Table.create ~header:[ "config"; "msgs/request"; "mean write ms" ] in
-    List.iter
-      (fun (name, mpr, write_ms) ->
-        Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.1f" write_ms ])
-      (E.ablation_object_lease ~seed ~ops ());
-    Table.print t
-  | "staleness" ->
-    let t = Table.create ~header:[ "protocol"; "stale"; "mean behind ms"; "max behind ms" ] in
-    List.iter
-      (fun (r : E.staleness_row) ->
-        Table.add_row t
-          [
-            r.E.s_protocol;
-            Printf.sprintf "%.1f%%" (100. *. r.E.s_stale_fraction);
-            Printf.sprintf "%.0f" r.E.s_mean_behind_ms;
-            Printf.sprintf "%.0f" r.E.s_max_behind_ms;
-          ])
-      (E.ablation_staleness ~seed ~ops ());
-    Table.print t
-  | other -> Printf.eprintf "unknown ablation %S\n" other
+(* Every ablation id with its printer: the one list [dqr ablation]
+   accepts. *)
+let ablations =
+  let relabel label rows = List.map (fun (x, r) -> { r with E.protocol = label x }) rows in
+  [
+    ( "leases",
+      fun ~pool ~seed ~ops ->
+        Table.print
+          (Render.response_rows ~title:"ablation: volume leases"
+             (E.ablation_leases ~pool ~seed ~ops ())) );
+    ( "lease-len",
+      fun ~pool ~seed ~ops ->
+        Table.print
+          (Render.response_rows ~title:"ablation: lease length"
+             (relabel (Printf.sprintf "dqvl L=%.0fms") (E.ablation_lease_len ~pool ~seed ~ops ())))
+    );
+    ( "bursts",
+      fun ~pool ~seed ~ops ->
+        Table.print
+          (Render.response_rows ~title:"ablation: burst length (w=0.5)"
+             (relabel (Printf.sprintf "dqvl burst=%.0f") (E.ablation_bursts ~pool ~seed ~ops ())))
+    );
+    ( "orq",
+      fun ~pool ~seed ~ops ->
+        Table.print
+          (Render.response_rows ~title:"ablation: OQS read quorum size"
+             (List.map snd (E.ablation_orq ~pool ~seed ~ops ()))) );
+    ( "grid",
+      fun ~pool:_ ~seed:_ ~ops:_ ->
+        Table.print
+          (Render.series ~title:"ablation: grid vs majority unavailability," ~x_label:"replicas"
+             ~x_of:string_of_int ~fmt:Render.scientific (E.ablation_grid ())) );
+    ( "atomic",
+      fun ~pool ~seed ~ops ->
+        Table.print
+          (Render.response_rows ~title:"ablation: atomic semantics"
+             (E.ablation_atomic ~pool ~seed ~ops ())) );
+    ( "object-lease",
+      fun ~pool ~seed ~ops ->
+        let t = Table.create ~header:[ "config"; "msgs/request"; "mean write ms" ] in
+        List.iter
+          (fun (name, mpr, write_ms) ->
+            Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.1f" write_ms ])
+          (E.ablation_object_lease ~pool ~seed ~ops ());
+        Table.print t );
+    ( "staleness",
+      fun ~pool ~seed ~ops ->
+        let t = Table.create ~header:[ "protocol"; "stale"; "mean behind ms"; "max behind ms" ] in
+        List.iter
+          (fun (r : E.staleness_row) ->
+            Table.add_row t
+              [
+                r.E.s_protocol;
+                Printf.sprintf "%.1f%%" (100. *. r.E.s_stale_fraction);
+                Printf.sprintf "%.0f" r.E.s_mean_behind_ms;
+                Printf.sprintf "%.0f" r.E.s_max_behind_ms;
+              ])
+          (E.ablation_staleness ~pool ~seed ~ops ());
+        Table.print t );
+    ( "batch-renewals",
+      fun ~pool ~seed ~ops:_ ->
+        let t = Table.create ~header:[ "policy"; "renewal requests" ] in
+        List.iter
+          (fun (name, n) -> Table.add_row t [ name; string_of_int n ])
+          (E.ablation_batch_renewals ~pool ~seed ());
+        Table.print t );
+  ]
 
 let ablation_cmd =
-  let id =
+  let print =
     Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"ABLATION"
-          ~doc:"leases, lease-len, bursts, orq, grid, atomic, object-lease or staleness.")
+      required
+      & pos 0 (some (enum ablations)) None
+      & info [] ~docv:"ABLATION" ~doc:("The study, " ^ Arg.doc_alts_enum ablations ^ "."))
   in
+  let run print seed ops = Pool.with_pool (fun pool -> print ~pool ~seed ~ops) in
   Cmd.v (Cmd.info "ablation" ~doc:"Run one of the ablation studies")
-    Term.(const print_ablation $ id $ seed_arg $ ops_arg 120)
+    Term.(const run $ print $ seed_arg $ ops_arg 120)
 
 (* --- run ----------------------------------------------------------------- *)
 
@@ -586,10 +634,10 @@ let print_frontier (result : Optimizer.result) =
   Table.print t
 
 (* Re-base the winning system and strategies from optimizer node ids
-   (0..n-1) onto the scenario topology's server ids, then register a
-   "dqvl-opt" protocol: optimized weighted IQS (with its explicit
-   read/write strategies) and the paper's read-one/write-all OQS. *)
-let register_applied (winner : Optimizer.point) ~n =
+   (0..n-1) onto the scenario topology's server ids, as a "dqvl-opt"
+   builder: optimized weighted IQS (with its explicit read/write
+   strategies) and the paper's read-one/write-all OQS. *)
+let applied_builder (winner : Optimizer.point) ~n =
   let make_config servers =
     if List.length servers < n then
       invalid_arg
@@ -623,7 +671,7 @@ let register_applied (winner : Optimizer.point) ~n =
     Dq_core.Config.validate config;
     config
   in
-  Registry.register (Registry.dqvl_custom ~name:"dqvl-opt" make_config)
+  Registry.dqvl_custom ~name:"dqvl-opt" make_config
 
 let quorum_opt n ps latencies read_fraction max_votes out apply scenario_name seed =
   let fail_prob = per_node ~what:"p" ~n ps in
@@ -651,11 +699,12 @@ let quorum_opt n ps latencies read_fraction max_votes out apply scenario_name se
         (votes_label winner.Optimizer.votes)
         winner.Optimizer.read_votes winner.Optimizer.write_votes winner.Optimizer.kind
         scenario_name;
-      register_applied winner ~n;
+      let builder = applied_builder winner ~n in
       let scenario = find_scenario scenario_name in
       let now_s = Unix.gettimeofday in
       let outcome =
-        Scenario.run_protocol ~now_s ~smoke:true ~seed scenario ~protocol:"dqvl-opt"
+        Scenario.run_protocol ~now_s ~smoke:true ~seed ~builder scenario
+          ~protocol:builder.Registry.name
       in
       print_outcomes [ outcome ]
   end
@@ -718,7 +767,7 @@ let load_study seed ops service_ms =
     (Render.series ~title:"load study:" ~x_label:"req/s per client"
        ~x_of:(Printf.sprintf "%.0f")
        ~fmt:(Printf.sprintf "%.1f")
-       (E.saturation ~seed ~ops ~service_ms ()))
+       (Pool.with_pool (fun pool -> E.saturation ~pool ~seed ~ops ~service_ms ())))
 
 let load_cmd =
   let service_ms =
@@ -733,7 +782,7 @@ let bandwidth seed ops write_ratio =
   List.iter
     (fun (name, mpr, bpr) ->
       Table.add_row t [ name; Printf.sprintf "%.1f" mpr; Printf.sprintf "%.0f" bpr ])
-    (E.bandwidth ~seed ~ops ~write_ratio ());
+    (Pool.with_pool (fun pool -> E.bandwidth ~pool ~seed ~ops ~write_ratio ()));
   Table.print t
 
 let bandwidth_cmd =

@@ -6,8 +6,8 @@
    by Bus.subscribed (R4), no captured-state mutation inside
    domain-pool workers (R5), no raw engine timers in node-scoped code
    (R6), no hash-ordered fold results escaping (R7), no partial
-   functions (R8), and no silent message drops (R9). See DESIGN.md
-   section 9. *)
+   functions (R8), no silent message drops (R9), and no process-global
+   mutable state in the libraries (R10). See DESIGN.md section 9. *)
 
 module Diagnostic = Dq_lint.Diagnostic
 module Rules = Dq_lint.Rules

@@ -12,7 +12,7 @@ exception Error of string
 
    A recursive-descent parser over the whole input string. It accepts
    exactly the JSON this repository emits (hand-rolled writers in
-   [Dq_telemetry.Json_util], [Results] and [bench/main.ml]) plus the
+   [Dq_telemetry.Json_util] and [Results]) plus the
    usual whitespace/escape liberties, which keeps it honest against
    externally edited baselines too. *)
 

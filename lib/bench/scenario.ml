@@ -185,14 +185,18 @@ let cross_check ~protocol (aoi : Aoi.summary) (oracle : Staleness.report) =
          (List.length oracle.Staleness.stale)
          aoi.Aoi.max_versions_behind oracle.Staleness.max_versions_behind)
 
-let run_protocol ?now_s ?(wan_scale = 1.) ?write_ratio ~smoke ~seed (scenario : t) ~protocol =
+let run_protocol ?now_s ?(wan_scale = 1.) ?write_ratio ~smoke ~seed ?builder (scenario : t)
+    ~protocol =
   let builder =
-    match Registry.find protocol with
+    match builder with
     | Some b -> b
-    | None ->
-      invalid_arg
-        (Printf.sprintf "Scenario.run: unknown protocol %S (known: %s)" protocol
-           (String.concat ", " (Registry.known_names ())))
+    | None -> (
+      match Registry.find protocol with
+      | Some b -> b
+      | None ->
+        invalid_arg
+          (Printf.sprintf "Scenario.run: unknown protocol %S (known: %s)" protocol
+             (String.concat ", " (Registry.known_names ()))))
   in
   let wan_scale = scenario.wan_scale *. wan_scale in
   let spec =

@@ -101,8 +101,15 @@ val run_protocol :
   ?write_ratio:float ->
   smoke:bool ->
   seed:int64 ->
+  ?builder:Dq_harness.Registry.builder ->
   t ->
   protocol:string ->
   outcome
-(** One cell. [wan_scale] multiplies the scenario's own factor
-    (sweep override); [write_ratio] replaces the spec's. *)
+(** One cell, run under the id [protocol]. [builder] defaults to
+    [Registry.find protocol]; passing one runs a builder the registry
+    does not know (how [dqr quorum-opt --apply] runs [dqvl-opt]).
+    [wan_scale] multiplies the scenario's own factor (sweep override);
+    [write_ratio] replaces the spec's.
+
+    @raise Invalid_argument on an unknown protocol name without
+    [builder]. *)

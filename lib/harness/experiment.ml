@@ -10,40 +10,11 @@ module Pool = Dq_par.Pool
 (* --- parallel sweeps --------------------------------------------------- *)
 
 (* Every figure is a sweep of independent (protocol x point x seed) runs,
-   each on its own freshly seeded engine, so they fan across a domain pool
-   with results identical to the serial order. The pool is created lazily
-   and kept across figures; [set_jobs] (the bench binary's [-j] flag, or
-   DQ_JOBS via [Pool.default_jobs]) resizes it. *)
-
-let current_jobs : int option ref = ref None
-
-let current_pool : Pool.t option ref = ref None
-
-let jobs () = match !current_jobs with Some j -> j | None -> Pool.default_jobs ()
-
-let drop_pool () =
-  match !current_pool with
-  | Some p ->
-    current_pool := None;
-    Pool.shutdown p
-  | None -> ()
-
-let set_jobs n =
-  if n < 1 then invalid_arg "Experiment.set_jobs: jobs must be >= 1";
-  if n <> jobs () then drop_pool ();
-  current_jobs := Some n
-
-let pool () =
-  let j = jobs () in
-  match !current_pool with
-  | Some p when Pool.jobs p = j -> p
-  | _ ->
-    drop_pool ();
-    let p = Pool.create ~jobs:j () in
-    current_pool := Some p;
-    p
-
-let pmap f xs = if jobs () <= 1 then List.map f xs else Pool.map (pool ()) f xs
+   each on its own freshly seeded engine, so they fan across the caller's
+   domain pool with results identical to the serial order. No pool means
+   a serial run. *)
+let pmap ?pool f xs =
+  match pool with None -> List.map f xs | Some pool -> Pool.map pool f xs
 
 (* Split [xs] into consecutive chunks of [width] — the inverse of
    flattening a (sweep point x builder) product back into per-point rows. *)
@@ -90,45 +61,45 @@ let run_one ?(seed = 42L) ?(ops = 200) ~topology ~spec (builder : Registry.build
   let result = Driver.run engine topology instance.Registry.api config in
   row_of_result result
 
-let response_time ?seed ?ops ?(builders = Registry.paper_five) ~spec () =
+let response_time ?pool ?seed ?ops ?(builders = Registry.paper_five) ~spec () =
   let topology = paper_topology () in
-  pmap (run_one ?seed ?ops ~topology ~spec) builders
+  pmap ?pool (run_one ?seed ?ops ~topology ~spec) builders
 
 (* Sweep [points] x [builders] as one flat batch of runs (maximum
    parallelism), then regroup rows per point. *)
-let sweep_runs ?seed ?ops ?(builders = Registry.paper_five) ~spec_of points =
+let sweep_runs ?pool ?seed ?ops ?(builders = Registry.paper_five) ~spec_of points =
   let topology = paper_topology () in
   let tasks =
     List.concat_map (fun x -> List.map (fun b -> (x, b)) builders) points
   in
   let rows =
-    pmap (fun (x, b) -> run_one ?seed ?ops ~topology ~spec:(spec_of x) b) tasks
+    pmap ?pool (fun (x, b) -> run_one ?seed ?ops ~topology ~spec:(spec_of x) b) tasks
   in
   List.map2 (fun x rs -> (x, rs)) points (chunk_list (List.length builders) rows)
 
 (* --- Figure 6: response time vs write ratio --------------------------- *)
 
-let fig6a ?seed ?ops () =
-  response_time ?seed ?ops ~spec:{ Spec.default with Spec.write_ratio = 0.05 } ()
+let fig6a ?pool ?seed ?ops () =
+  response_time ?pool ?seed ?ops ~spec:{ Spec.default with Spec.write_ratio = 0.05 } ()
 
 let default_write_ratios = [ 0.0; 0.05; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
-let fig6b ?seed ?ops ?(write_ratios = default_write_ratios) () =
-  sweep_runs ?seed ?ops
+let fig6b ?pool ?seed ?ops ?(write_ratios = default_write_ratios) () =
+  sweep_runs ?pool ?seed ?ops
     ~spec_of:(fun w -> { Spec.default with Spec.write_ratio = w })
     write_ratios
 
 (* --- Figure 7: response time vs access locality ----------------------- *)
 
-let fig7a ?seed ?ops () =
-  response_time ?seed ?ops
+let fig7a ?pool ?seed ?ops () =
+  response_time ?pool ?seed ?ops
     ~spec:{ Spec.default with Spec.write_ratio = 0.05; locality = 0.9 }
     ()
 
 let default_localities = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
 
-let fig7b ?seed ?ops ?(localities = default_localities) () =
-  sweep_runs ?seed ?ops
+let fig7b ?pool ?seed ?ops ?(localities = default_localities) () =
+  sweep_runs ?pool ?seed ?ops
     ~spec_of:(fun locality -> { Spec.default with Spec.write_ratio = 0.05; locality })
     localities
 
@@ -163,11 +134,11 @@ let fig8b ?(p = 0.01) ?(w = 0.25) ?(ns = [ 3; 5; 7; 9; 11; 13; 15; 17; 19; 21 ])
           (avail_protocols n) ))
     ns
 
-let fig8_measured ?(seed = 42L) ?(ops = 150) ?(p = 0.1) ?(write_ratio = 0.25) () =
+let fig8_measured ?pool ?(seed = 42L) ?(ops = 150) ?(p = 0.1) ?(write_ratio = 0.25) () =
   let topology = paper_topology () in
   let mttf_ms, mttr_ms = Churn.periods_for ~p ~cycle_ms:20_000. in
   let spec = { Spec.default with Spec.write_ratio } in
-  pmap
+  pmap ?pool
     (fun (builder : Registry.builder) ->
       let engine = Engine.create ~seed () in
       let instance = builder.Registry.build engine topology () in
@@ -210,15 +181,15 @@ let fig9a ?(n = 9) ?(write_ratios = default_write_ratios) () =
         ] ))
     write_ratios
 
-let fig9a_measured ?(seed = 42L) ?(ops = 400) ?(write_ratios = [ 0.05; 0.25; 0.5; 0.75; 0.95 ])
-    () =
+let fig9a_measured ?pool ?(seed = 42L) ?(ops = 400)
+    ?(write_ratios = [ 0.05; 0.25; 0.5; 0.75; 0.95 ]) () =
   (* On-demand renewal, a long volume lease and one shared object: the
      regime the analytical model describes. *)
   let builder =
     Registry.dqvl ~volume_lease_ms:600_000. ~proactive_renew:false ()
   in
   let topology = paper_topology () in
-  pmap
+  pmap ?pool
     (fun w ->
       let spec =
         {
@@ -246,10 +217,10 @@ let fig9b ?(n_iqs = 5) ?(w = 0.25) ?(n_oqs_list = [ 5; 9; 13; 17; 21; 25 ]) () =
         ] ))
     n_oqs_list
 
-let bandwidth ?(seed = 42L) ?(ops = 200) ?(write_ratio = 0.25) () =
+let bandwidth ?pool ?(seed = 42L) ?(ops = 200) ?(write_ratio = 0.25) () =
   let topology = paper_topology () in
   let spec = { Spec.default with Spec.write_ratio } in
-  pmap
+  pmap ?pool
     (fun (builder : Registry.builder) ->
       let engine = Engine.create ~seed () in
       let instance = builder.Registry.build engine topology () in
@@ -258,13 +229,13 @@ let bandwidth ?(seed = 42L) ?(ops = 200) ?(write_ratio = 0.25) () =
       (builder.Registry.name, result.Driver.messages_per_request, result.Driver.bytes_per_request))
     Registry.paper_five
 
-let saturation ?(seed = 42L) ?(ops = 300) ?(service_ms = 1.) ?(rates = [ 10.; 50.; 100.; 200. ])
-    () =
+let saturation ?pool ?(seed = 42L) ?(ops = 300) ?(service_ms = 1.)
+    ?(rates = [ 10.; 50.; 100.; 200. ]) () =
   let topology = paper_topology () in
   let builders = [ Registry.dqvl (); Registry.majority ] in
   let tasks = List.concat_map (fun r -> List.map (fun b -> (r, b)) builders) rates in
   let results =
-    pmap
+    pmap ?pool
       (fun (rate, (builder : Registry.builder)) ->
         let engine = Engine.create ~seed () in
         let instance = builder.Registry.build engine topology () in
@@ -291,24 +262,24 @@ let saturation ?(seed = 42L) ?(ops = 300) ?(service_ms = 1.) ?(rates = [ 10.; 50
 
 (* --- Ablations --------------------------------------------------------- *)
 
-let ablation_leases ?seed ?ops () =
-  response_time ?seed ?ops
+let ablation_leases ?pool ?seed ?ops () =
+  response_time ?pool ?seed ?ops
     ~builders:[ Registry.dqvl (); Registry.dq_basic ]
     ~spec:{ Spec.default with Spec.write_ratio = 0.05 }
     ()
 
-let ablation_lease_len ?seed ?ops ?(leases_ms = [ 250.; 1000.; 5000.; 20000. ]) () =
+let ablation_lease_len ?pool ?seed ?ops ?(leases_ms = [ 250.; 1000.; 5000.; 20000. ]) () =
   let topology = paper_topology () in
   let spec = { Spec.default with Spec.write_ratio = 0.05 } in
-  pmap
+  pmap ?pool
     (fun lease ->
       let builder = Registry.dqvl ~volume_lease_ms:lease ~proactive_renew:false () in
       (lease, run_one ?seed ?ops ~topology ~spec builder))
     leases_ms
 
-let ablation_bursts ?seed ?ops ?(burst_means = [ 1.; 2.; 5.; 10.; 50. ]) () =
+let ablation_bursts ?pool ?seed ?ops ?(burst_means = [ 1.; 2.; 5.; 10.; 50. ]) () =
   let topology = paper_topology () in
-  pmap
+  pmap ?pool
     (fun mean ->
       let spec =
         {
@@ -328,7 +299,7 @@ type staleness_row = {
   s_max_behind_ms : float;
 }
 
-let ablation_staleness ?(seed = 42L) ?(ops = 150)
+let ablation_staleness ?pool ?(seed = 42L) ?(ops = 150)
     ?(anti_entropy_periods = [ 250.; 1_000.; 4_000. ]) () =
   let topology = Topology.make ~n_servers:5 ~n_clients:2 () in
   let spec =
@@ -355,7 +326,7 @@ let ablation_staleness ?(seed = 42L) ?(ops = 150)
       s_max_behind_ms = report.Staleness.max_behind_ms;
     }
   in
-  pmap measure
+  pmap ?pool measure
     (List.map
        (fun period ->
          ( Printf.sprintf "rowa-async ae=%.0fms" period,
@@ -363,10 +334,10 @@ let ablation_staleness ?(seed = 42L) ?(ops = 150)
        anti_entropy_periods
     @ [ ("dqvl", Registry.dqvl ()); ("majority", Registry.majority) ])
 
-let ablation_orq ?seed ?ops ?(read_quorums = [ 1; 2; 3 ]) () =
+let ablation_orq ?pool ?seed ?ops ?(read_quorums = [ 1; 2; 3 ]) () =
   let topology = paper_topology () in
   let spec = { Spec.default with Spec.write_ratio = 0.05 } in
-  pmap
+  pmap ?pool
     (fun orq ->
       let make_config servers =
         let n = List.length servers in
@@ -385,7 +356,7 @@ let ablation_orq ?seed ?ops ?(read_quorums = [ 1; 2; 3 ]) () =
       (orq, { row with protocol = Printf.sprintf "dqvl orq=%d" orq }))
     read_quorums
 
-let ablation_object_lease ?seed ?ops ?(object_leases_ms = [ 500.; 2_000. ]) () =
+let ablation_object_lease ?pool ?seed ?ops ?(object_leases_ms = [ 500.; 2_000. ]) () =
   (* Scattered readers acquire callbacks at many replicas; writes must
      invalidate every holder. Finite object leases let stale holders
      simply lapse (think time gives them the chance), trading renewal
@@ -409,7 +380,7 @@ let ablation_object_lease ?seed ?ops ?(object_leases_ms = [ 500.; 2_000. ]) () =
     let result = Driver.run engine topology instance.Registry.api config in
     (name, result.Driver.messages_per_request, Stats.mean result.Driver.write_latency)
   in
-  pmap run
+  pmap ?pool run
     (("callbacks (infinite)", Registry.dqvl ())
     :: List.map
          (fun lease ->
@@ -417,7 +388,7 @@ let ablation_object_lease ?seed ?ops ?(object_leases_ms = [ 500.; 2_000. ]) () =
              Registry.dqvl ~object_lease_ms:lease () ))
          object_leases_ms)
 
-let ablation_batch_renewals ?(seed = 42L) () =
+let ablation_batch_renewals ?pool ?(seed = 42L) () =
   (* One OQS node proactively renewing six volumes' leases from five
      IQS nodes for 20 s of virtual time. *)
   let run ~batch =
@@ -453,12 +424,12 @@ let ablation_batch_renewals ?(seed = 42L) () =
     in
     count "vol_renew_req" + count "vols_renew_req"
   in
-  pmap
+  pmap ?pool
     (fun (name, batch) -> (name, run ~batch))
     [ ("per-volume renewals", false); ("batched renewals", true) ]
 
-let ablation_atomic ?seed ?ops () =
-  response_time ?seed ?ops
+let ablation_atomic ?pool ?seed ?ops () =
+  response_time ?pool ?seed ?ops
     ~builders:
       [
         Registry.dqvl ();

@@ -6,21 +6,12 @@
 
 (** {2 Parallelism}
 
-    Every figure is a sweep of independent (protocol x point x seed)
-    simulation runs, each on its own freshly seeded engine. With
-    [jobs > 1] those runs fan across a {!Dq_par.Pool} of domains; because
-    the parallel map preserves input order and runs share no mutable
-    state, the output of every function below is bit-identical to the
-    serial run for a fixed seed. *)
-
-val set_jobs : int -> unit
-(** Set the worker-pool size used by all experiment sweeps. [1] disables
-    parallelism. Raises [Invalid_argument] if the argument is [< 1]. *)
-
-val jobs : unit -> int
-(** The current pool size: the last {!set_jobs} value, else [DQ_JOBS],
-    else {!Domain.recommended_domain_count} (see
-    {!Dq_par.Pool.default_jobs}). *)
+    Every simulation sweep below is a batch of independent (protocol x
+    point x seed) runs, each on its own freshly seeded engine. Given
+    [~pool], those runs fan across its domains; without one they run
+    serially on the caller. The parallel map preserves input order and
+    runs share no mutable state, so the output is bit-identical for
+    every pool size and for no pool at all. *)
 
 type response_row = {
   protocol : string;
@@ -35,6 +26,7 @@ type response_row = {
 val paper_topology : ?n_servers:int -> ?n_clients:int -> unit -> Dq_net.Topology.t
 
 val response_time :
+  ?pool:Dq_par.Pool.t ->
   ?seed:int64 ->
   ?ops:int ->
   ?builders:Registry.builder list ->
@@ -45,17 +37,19 @@ val response_time :
 
 (** {2 Response time (prototype experiments)} *)
 
-val fig6a : ?seed:int64 -> ?ops:int -> unit -> response_row list
+val fig6a : ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> unit -> response_row list
 (** Five protocols at 5% writes, full locality. *)
 
-val fig6b : ?seed:int64 -> ?ops:int -> ?write_ratios:float list -> unit
+val fig6b :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?write_ratios:float list -> unit
   -> (float * response_row list) list
 (** Mean response time as the write ratio sweeps 0..1. *)
 
-val fig7a : ?seed:int64 -> ?ops:int -> unit -> response_row list
+val fig7a : ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> unit -> response_row list
 (** 5% writes at 90% access locality. *)
 
-val fig7b : ?seed:int64 -> ?ops:int -> ?localities:float list -> unit
+val fig7b :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?localities:float list -> unit
   -> (float * response_row list) list
 (** Mean response time as access locality sweeps 0..1 at 5% writes. *)
 
@@ -71,6 +65,7 @@ val fig8b : ?p:float -> ?w:float -> ?ns:int list -> unit
 (** Unavailability per protocol vs replica count; default w = 0.25. *)
 
 val fig8_measured :
+  ?pool:Dq_par.Pool.t ->
   ?seed:int64 ->
   ?ops:int ->
   ?p:float ->
@@ -90,7 +85,8 @@ val fig9a : ?n:int -> ?write_ratios:float list -> unit
   -> (float * (string * float) list) list
 (** Expected messages per request vs write ratio (model). *)
 
-val fig9a_measured : ?seed:int64 -> ?ops:int -> ?write_ratios:float list -> unit
+val fig9a_measured :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?write_ratios:float list -> unit
   -> (float * float) list
 (** Simulator-measured DQVL messages per request vs write ratio
     (on-demand lease renewal, one shared object), cross-checking the
@@ -100,14 +96,17 @@ val fig9b : ?n_iqs:int -> ?w:float -> ?n_oqs_list:int list -> unit
   -> (int * (string * float) list) list
 (** Messages per request as the OQS grows with the IQS fixed. *)
 
-val bandwidth : ?seed:int64 -> ?ops:int -> ?write_ratio:float -> unit
+val bandwidth :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?write_ratio:float -> unit
   -> (string * float * float) list
 (** Measured (protocol, messages/request, bytes/request) under the
     paper topology — a byte-level refinement of Figure 9's equal-weight
     message counting, using the wire-size models in
     {!Dq_core.Message.size_of} and {!Dq_proto.Base_msg.size_of}. *)
 
-val saturation : ?seed:int64 -> ?ops:int -> ?service_ms:float -> ?rates:float list -> unit
+val saturation :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?service_ms:float -> ?rates:float list
+  -> unit
   -> (float * (string * float) list) list
 (** Open-loop load study (beyond the paper): Poisson arrivals per
     client at increasing rates, with a per-message service time at
@@ -117,15 +116,18 @@ val saturation : ?seed:int64 -> ?ops:int -> ?service_ms:float -> ?rates:float li
 
 (** {2 Ablations} *)
 
-val ablation_leases : ?seed:int64 -> ?ops:int -> unit -> response_row list
+val ablation_leases :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> unit -> response_row list
 (** DQVL vs the basic dual-quorum protocol (value of volume leases) on
     the target workload, plus behaviour under an OQS node crash. *)
 
-val ablation_lease_len : ?seed:int64 -> ?ops:int -> ?leases_ms:float list -> unit
+val ablation_lease_len :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?leases_ms:float list -> unit
   -> (float * response_row) list
 (** DQVL response time vs volume lease length (on-demand renewal). *)
 
-val ablation_bursts : ?seed:int64 -> ?ops:int -> ?burst_means:float list -> unit
+val ablation_bursts :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?burst_means:float list -> unit
   -> (float * response_row) list
 (** DQVL response time vs workload burst length at 50% writes (bursts
     turn read misses into hits and write-throughs into suppresses). *)
@@ -137,14 +139,17 @@ type staleness_row = {
   s_max_behind_ms : float;
 }
 
-val ablation_staleness : ?seed:int64 -> ?ops:int -> ?anti_entropy_periods:float list -> unit
+val ablation_staleness :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?anti_entropy_periods:float list
+  -> unit
   -> staleness_row list
 (** How stale ROWA-Async reads get (two clients sharing one object at
     50% writes) as the anti-entropy period grows, versus DQVL and
     majority which never return stale data. Quantifies the paper's
     "no worst-case bound on staleness" argument. *)
 
-val ablation_orq : ?seed:int64 -> ?ops:int -> ?read_quorums:int list -> unit
+val ablation_orq :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?read_quorums:int list -> unit
   -> (int * response_row) list
 (** DQVL with OQS read quorum sizes > 1 (paper future work): read
     latency cost of larger read quorums. *)
@@ -153,17 +158,20 @@ val ablation_grid : ?p:float -> ?w:float -> ?ns:int list -> unit
   -> (int * (string * float) list) list
 (** Grid-quorum IQS vs majority IQS availability (paper future work). *)
 
-val ablation_object_lease : ?seed:int64 -> ?ops:int -> ?object_leases_ms:float list -> unit
+val ablation_object_lease :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> ?object_leases_ms:float list -> unit
   -> (string * float * float) list
 (** Finite object leases (paper footnote 4): (config, messages per
     request, mean write latency) for infinite callbacks vs finite
     object leases, under scattered readers with think time. *)
 
-val ablation_batch_renewals : ?seed:int64 -> unit -> (string * int) list
+val ablation_batch_renewals :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> unit -> (string * int) list
 (** Renewal request counts over 20 s for six proactively-renewed
     volumes, with and without {!Dq_core.Config.batch_renewals}. *)
 
-val ablation_atomic : ?seed:int64 -> ?ops:int -> unit -> response_row list
+val ablation_atomic :
+  ?pool:Dq_par.Pool.t -> ?seed:int64 -> ?ops:int -> unit -> response_row list
 (** The cost of atomic semantics (paper future work, Section 6): DQVL
     and majority with and without read-imposition, on the target
     workload. The atomic variants' histories are additionally checked

@@ -166,46 +166,26 @@ let grid ~rows ~cols =
         base_instance engine topology ?faults (Dq_proto.Base_cluster.Custom_quorum system));
   }
 
-(* Session-registered builders (e.g. the quorum-opt --apply winner):
-   consulted before the static table, so a registered name can also
-   shadow a built-in. *)
-let registered : (string, builder) Hashtbl.t = Hashtbl.create 4
-
-let register builder = Hashtbl.replace registered builder.name builder
-
-(* By-name lookup shared by the CLIs and the bench scenario registry.
+(* The by-name table shared by the CLIs and the bench scenario registry.
    "dqvl-paper" is the evaluation configuration (short on-demand
    leases); plain "dqvl" keeps the builder's defaults. *)
-let find_static = function
-  | "dqvl" -> Some (dqvl ())
-  | "dqvl-paper" -> Some (dqvl ~volume_lease_ms:1_000. ~proactive_renew:false ())
-  | "dq-basic" -> Some dq_basic
-  | "primary-backup" -> Some primary_backup
-  | "majority" -> Some majority
-  | "atomic-majority" -> Some atomic_majority
-  | "dqvl-atomic" -> Some (dqvl_atomic ())
-  | "rowa" -> Some rowa
-  | "rowa-async" -> Some (rowa_async ())
-  | _ -> None
+let named =
+  [
+    ("dqvl", fun () -> dqvl ());
+    ("dqvl-paper", fun () -> dqvl ~volume_lease_ms:1_000. ~proactive_renew:false ());
+    ("dq-basic", fun () -> dq_basic);
+    ("primary-backup", fun () -> primary_backup);
+    ("majority", fun () -> majority);
+    ("atomic-majority", fun () -> atomic_majority);
+    ("dqvl-atomic", fun () -> dqvl_atomic ());
+    ("rowa", fun () -> rowa);
+    ("rowa-async", fun () -> rowa_async ());
+  ]
 
 let find name =
-  match Hashtbl.find_opt registered name with
-  | Some builder -> Some builder
-  | None -> find_static name
+  List.find_map (fun (n, make) -> if String.equal n name then Some (make ()) else None) named
 
-let known_names () =
-  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) registered [])
-  @ [
-    "dqvl";
-    "dqvl-paper";
-    "dq-basic";
-    "primary-backup";
-    "majority";
-    "atomic-majority";
-    "dqvl-atomic";
-    "rowa";
-    "rowa-async";
-  ]
+let known_names () = List.map fst named
 
 (* The paper's five protocols with the evaluation configuration:
    short (1 s) volume leases renewed on demand, so that low access

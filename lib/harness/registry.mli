@@ -77,17 +77,12 @@ val paper_five : builder list
 (** The five protocols of the paper's evaluation, in its order:
     DQVL, primary/backup, majority quorum, ROWA, ROWA-Async. *)
 
-val register : builder -> unit
-(** Make a builder findable by name for the rest of the process — how
-    [dqr quorum-opt --apply] injects its optimized configuration into
-    the bench scenario machinery. Registered builders are consulted
-    before the static table, so a registered name shadows a built-in;
-    registering the same name twice keeps the latest. *)
-
 val find : string -> builder option
 (** By-name lookup over {!known_names}, shared by the CLIs and the
     bench scenario registry. ["dqvl-paper"] is {!dqvl} with the
-    evaluation configuration (1 s on-demand volume leases). *)
+    evaluation configuration (1 s on-demand volume leases). A builder
+    made elsewhere (e.g. [dqr quorum-opt --apply]'s [dqvl-opt]) is not
+    findable by name; pass it to its caller as a value. *)
 
 val known_names : unit -> string list
-(** Registered names (sorted) followed by the static table. *)
+(** The names {!find} resolves, in a fixed order. *)

@@ -1,5 +1,5 @@
-(** Rendering of experiment results as aligned text tables — shared by
-    the benchmark harness ([bench/main.exe]) and the CLI ([bin/dqr.exe]). *)
+(** Rendering of experiment results as aligned text tables, for the CLI
+    ([bin/dqr.exe]). *)
 
 val response_rows : title:string -> Experiment.response_row list -> Dq_util.Table.t
 

@@ -448,6 +448,25 @@ let check_match_drops ctx scrut cases =
         candidates
 
 (* ------------------------------------------------------------------ *)
+(* R10: process-global mutable state                                   *)
+
+let global_state_makers =
+  [ "Stdlib.ref"; "Stdlib.Hashtbl.create"; "Stdlib.Atomic.make" ]
+
+(* One structure-level binding: a mutable cell made at module
+   initialisation is shared by every run in the process. *)
+let check_global_state ctx vb =
+  match vb.vb_expr.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _)
+    when mem global_state_makers (Path.name p) ->
+    report ctx "R10" ~loc:vb.vb_pat.pat_loc
+      "top-level value made by %s is process-global mutable state; pass it \
+       explicitly (an argument, or a field of the value that owns it) so a \
+       run is a pure function of its arguments"
+      (Path.name p)
+  | _ -> ()
+
+(* ------------------------------------------------------------------ *)
 (* R7 point check: ordered accumulation through Hashtbl.iter            *)
 
 let contains_cons e =
@@ -584,7 +603,17 @@ let make_iterator ctx =
     with_allows vb.vb_attributes (fun () ->
         default_iterator.value_binding sub vb)
   in
-  { default_iterator with expr; value_binding }
+  let structure_item sub item =
+    (match item.str_desc with
+    | Tstr_value (_, vbs) ->
+      List.iter
+        (fun vb ->
+          with_allows vb.vb_attributes (fun () -> check_global_state ctx vb))
+        vbs
+    | _ -> ());
+    default_iterator.structure_item sub item
+  in
+  { default_iterator with expr; value_binding; structure_item }
 
 let file_level_allows str =
   List.concat_map
@@ -704,7 +733,7 @@ let path_selected paths src =
 (* Bumped with any behavior change to the rules or the engine: it keys
    the incremental cache, so an upgraded linter never serves findings
    computed by its predecessor. *)
-let version = "2.0.0"
+let version = "2.1.0"
 
 type stats = { cmts : int; analyzed : int; cache_hits : int }
 

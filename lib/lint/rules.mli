@@ -7,7 +7,7 @@
     clock reads are fine in [bin/] but poison determinism in [lib/]). *)
 
 type t = {
-  id : string;  (** "R1" .. "R9" *)
+  id : string;  (** "R1" .. "R10" *)
   name : string;  (** kebab-case short name, e.g. "no-poly-compare" *)
   summary : string;  (** one-line rationale *)
   applies : string -> bool;

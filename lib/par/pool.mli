@@ -20,9 +20,9 @@ type t
 
 val default_jobs : unit -> int
 (** The [DQ_JOBS] environment variable if set (must be a positive
-    integer), otherwise {!Domain.recommended_domain_count}. This is the
-    default parallelism knob for the whole harness; the bench binary's
-    [-j] flag overrides it. *)
+    integer), otherwise {!Domain.recommended_domain_count}. It sizes the
+    pool [dqr]'s simulation commands open; library code takes its pool
+    as an argument. *)
 
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains (default

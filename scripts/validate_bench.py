@@ -1,19 +1,11 @@
 #!/usr/bin/env python3
-"""Validate bench result JSONs.
+"""Validate schema-3 bench result JSONs from `dqr bench run` /
+`dqr bench sweep`.
 
-Two schemas are accepted, keyed by the top-level "schema" field:
-
-  2 -- BENCH_<n>.json from bench/main.exe. Checks structure and the
-       advisory invariant: any parallel timing taken with more jobs
-       than cores must carry "advisory": true, so single-core CI runs
-       can never be misread as speedup measurements.
-
-  3 -- campaign results from `dqr bench run` / `dqr bench sweep`.
-       Checks the self-describing scenario block, per-run metric
-       structure (latency quantiles, message accounting, AoI and
-       staleness blocks), and the cross-check invariant that the
-       online AoI sink and the offline staleness oracle agree on
-       their exactly-countable fields.
+Checks the self-describing scenario block, per-run metric structure
+(latency quantiles, message accounting, AoI and staleness blocks), and
+the cross-check invariant that the online AoI sink and the offline
+staleness oracle agree on their exactly-countable fields.
 
 Usage: validate_bench.py RESULTS.json [...]
 Exits non-zero with one message per problem.
@@ -39,16 +31,6 @@ def require(doc, path, key, types):
         err(path, f"'{key}' should be {names}, got {type(v).__name__}")
         return None
     return v
-
-
-def check_advisory(doc, path, advisory_expected, parallel_key):
-    """A non-null parallel timing must be flagged advisory iff the run was."""
-    has_parallel = doc.get(parallel_key) is not None
-    flagged = doc.get("advisory", False)
-    if has_parallel and advisory_expected and flagged is not True:
-        err(path, f"parallel timing present on an advisory run but 'advisory' is not true")
-    if flagged and not has_parallel:
-        err(path, "'advisory' set but no parallel timing present")
 
 
 NUM = (int, float)
@@ -200,54 +182,12 @@ def validate(fname):
         return
 
     schema = require(doc, path, "schema", int)
-    if schema == 3:
-        validate_v3(doc, path)
+    if schema is None:
         return
-    if schema != 2:
-        err(path, f"schema {doc.get('schema')!r}, expected 2 or 3")
+    if schema != 3:
+        err(path, f"schema {schema!r}, expected 3")
         return
-    require(doc, path, "generated_by", str)
-    jobs = require(doc, path, "jobs", int)
-    cores = require(doc, path, "cores", int)
-    advisory = require(doc, path, "advisory", bool)
-    if None in (jobs, cores, advisory):
-        return
-    advisory_expected = jobs > 1 and cores <= 1
-    if advisory != advisory_expected:
-        err(path, f"advisory is {advisory} but jobs={jobs}, cores={cores} imply {advisory_expected}")
-
-    eps = require(doc, path, "events_per_sec", (dict, type(None)))
-    if isinstance(eps, dict):
-        p = f"{path}/events_per_sec"
-        require(eps, p, "workload_events", int)
-        require(eps, p, "serial", (int, float))
-        if "parallel" not in eps:
-            err(p, "missing key 'parallel'")
-        check_advisory(eps, p, advisory_expected, "parallel")
-
-    total = require(doc, path, "total", dict)
-    if total is not None:
-        p = f"{path}/total"
-        require(total, p, "serial_s", (int, float))
-        check_advisory(total, p, advisory_expected, "parallel_s")
-
-    figures = require(doc, path, "figures", list)
-    for i, fig in enumerate(figures or []):
-        p = f"{path}/figures[{i}]"
-        if not isinstance(fig, dict):
-            err(p, "not an object")
-            continue
-        require(fig, p, "name", str)
-        require(fig, p, "serial_s", (int, float))
-        check_advisory(fig, p, advisory_expected, "parallel_s")
-
-    micro = require(doc, path, "microbench_ns_per_run", list)
-    for i, m in enumerate(micro or []):
-        p = f"{path}/microbench_ns_per_run[{i}]"
-        if not isinstance(m, dict):
-            err(p, "not an object")
-            continue
-        require(m, p, "name", str)
+    validate_v3(doc, path)
 
 
 def main(argv):

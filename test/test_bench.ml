@@ -266,6 +266,25 @@ let test_results_deterministic () =
   in
   Alcotest.(check string) "byte-identical rerun" (render ()) (render ())
 
+(* A builder the name registry does not know runs by value, under the
+   run id asked for, and leaves the registry as it found it: the path
+   [dqr quorum-opt --apply] takes with its optimized [dqvl-opt]. *)
+let test_builder_by_value () =
+  let builder =
+    Dq_harness.Registry.dqvl_custom ~name:"dqvl-opt" (fun servers ->
+        Dq_core.Config.dqvl ~servers ())
+  in
+  let outcome =
+    Scenario.run_protocol ~smoke:true ~seed:42L ~builder Scenario.baseline
+      ~protocol:"dqvl-opt"
+  in
+  Alcotest.(check string) "run id" "dqvl-opt" outcome.Scenario.protocol;
+  Alcotest.(check bool) "ops completed" true
+    (outcome.Scenario.result.Dq_harness.Driver.completed > 0);
+  Alcotest.(check int) "no violations" 0 outcome.Scenario.violations;
+  Alcotest.(check bool) "still unknown by name" true
+    (Option.is_none (Dq_harness.Registry.find "dqvl-opt"))
+
 let () =
   Alcotest.run "bench"
     [
@@ -294,5 +313,6 @@ let () =
             test_pipeline_end_to_end;
           Alcotest.test_case "rendered results are deterministic" `Quick
             test_results_deterministic;
+          Alcotest.test_case "builder passed by value" `Quick test_builder_by_value;
         ] );
     ]

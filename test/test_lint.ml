@@ -47,7 +47,8 @@ let test_bad_fixtures () =
   expect "r6_bad" "R6" 2;
   expect "r7_bad" "R7" 3;
   expect "r8_bad" "R8" 3;
-  expect "r9_bad" "R9" 2
+  expect "r9_bad" "R9" 2;
+  expect "r10_bad" "R10" 4
 
 let test_ok_fixtures () =
   List.iter
@@ -55,7 +56,7 @@ let test_ok_fixtures () =
       Alcotest.(check (list string)) (name ^ " is clean") [] (strings (lint name)))
     [
       "r1_ok"; "r2_ok"; "r3_ok"; "r4_ok"; "r5_ok"; "r6_ok"; "r7_ok"; "r8_ok";
-      "r9_ok";
+      "r9_ok"; "r10_ok";
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -150,6 +151,24 @@ let test_golden_r9 () =
   in
   Alcotest.(check (list string)) "r9_bad golden" expected (strings (lint "r9_bad"))
 
+let test_golden_r10 () =
+  let msg fn =
+    Printf.sprintf
+      "top-level value made by %s is process-global mutable state; pass it \
+       explicitly (an argument, or a field of the value that owns it) so a \
+       run is a pure function of its arguments"
+      fn
+  in
+  let expected =
+    [
+      "test/lint_fixtures/r10_bad.ml:3:4: [R10] " ^ msg "Stdlib.ref";
+      "test/lint_fixtures/r10_bad.ml:5:4: [R10] " ^ msg "Stdlib.Hashtbl.create";
+      "test/lint_fixtures/r10_bad.ml:7:4: [R10] " ^ msg "Stdlib.Atomic.make";
+      "test/lint_fixtures/r10_bad.ml:11:6: [R10] " ^ msg "Stdlib.ref";
+    ]
+  in
+  Alcotest.(check (list string)) "r10_bad golden" expected (strings (lint "r10_bad"))
+
 (* ------------------------------------------------------------------ *)
 (* Suppression: attributes and the allowlist file                      *)
 
@@ -218,6 +237,9 @@ let test_scoping () =
   Alcotest.(check int)
     "R9 out of scope under test/" 0
     (List.length (lint ~cfg:scoped "r9_bad"));
+  Alcotest.(check int)
+    "R10 out of scope under test/" 0
+    (List.length (lint ~cfg:scoped "r10_bad"));
   (* The default config excludes the fixture tree entirely. *)
   Alcotest.(check int)
     "default config skips fixtures" 0
@@ -399,7 +421,7 @@ let test_parallel_matches_serial () =
 (* Rule registry                                                       *)
 
 let test_rule_registry () =
-  Alcotest.(check int) "nine rules" 9 (List.length Rules.all);
+  Alcotest.(check int) "ten rules" 10 (List.length Rules.all);
   let id_of k =
     match Rules.find k with
     | Some (r : Rules.t) -> r.Rules.id
@@ -412,9 +434,10 @@ let test_rule_registry () =
   Alcotest.(check string) "find R7 by name" "R7" (id_of "ordered-fold");
   Alcotest.(check string) "find R8 by name" "R8" (id_of "no-partial-functions");
   Alcotest.(check string) "find R9 by name" "R9" (id_of "no-silent-drop");
-  (match Rules.find "R10" with
+  Alcotest.(check string) "find R10 by name" "R10" (id_of "no-global-state");
+  (match Rules.find "R11" with
   | None -> ()
-  | Some _ -> Alcotest.fail "R10 should not resolve")
+  | Some _ -> Alcotest.fail "R11 should not resolve")
 
 let () =
   Alcotest.run "lint"
@@ -429,6 +452,7 @@ let () =
           Alcotest.test_case "golden R7" `Quick test_golden_r7;
           Alcotest.test_case "golden R8" `Quick test_golden_r8;
           Alcotest.test_case "golden R9" `Quick test_golden_r9;
+          Alcotest.test_case "golden R10" `Quick test_golden_r10;
         ] );
       ( "suppression",
         [
