@@ -262,7 +262,7 @@ let run_custom protocol seed ops servers clients write_ratio locality objects ve
       (String.concat ", " (Registry.known_names ()))
   | Some builder ->
     let engine = Dq_sim.Engine.create ~seed () in
-    if verbose then Dq_sim.Sim_log.setup ~level:Logs.Debug engine;
+    if verbose then Dq_sim.Sim_log.attach engine;
     let bus = Dq_sim.Engine.telemetry engine in
     let trace =
       Option.map

@@ -24,12 +24,6 @@ let list_rules () =
         r.summary)
     Rules.all
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let write_file path contents =
   let oc = open_out_bin path in
   Fun.protect
@@ -58,8 +52,8 @@ let emit out contents =
   | Some "-" -> print_string contents
   | Some f -> write_file f contents
 
-let run build_dir json_out sarif_out cache_file jobs allowlist_file rules_spec
-    ignore_scopes all_scopes show_rules quiet paths =
+let run build_dir json_out sarif_out rules_spec ignore_scopes show_rules quiet
+    paths =
   if show_rules then begin
     list_rules ();
     0
@@ -77,12 +71,6 @@ let run build_dir json_out sarif_out cache_file jobs allowlist_file rules_spec
         2
       end
       else begin
-        ignore all_scopes;
-        let allowlist =
-          match allowlist_file with
-          | None -> []
-          | Some f -> Engine.parse_allowlist (read_file f)
-        in
         let cfg =
           {
             Engine.rules;
@@ -90,13 +78,9 @@ let run build_dir json_out sarif_out cache_file jobs allowlist_file rules_spec
             exclude_paths =
               (if ignore_scopes then []
                else Engine.default_config.exclude_paths);
-            allowlist;
           }
         in
-        let jobs = if jobs = 0 then Dq_par.Pool.default_jobs () else jobs in
-        let diags, errors, stats =
-          Engine.lint_build_dir ~paths ~jobs ?cache_file cfg build_dir
-        in
+        let diags, errors, cmts = Engine.lint_build_dir ~paths cfg build_dir in
         List.iter (fun e -> Printf.eprintf "dqr-lint: warning: %s\n" e) errors;
         if not quiet then
           List.iter (fun d -> print_endline (Diagnostic.to_string d)) diags;
@@ -104,10 +88,9 @@ let run build_dir json_out sarif_out cache_file jobs allowlist_file rules_spec
         emit sarif_out (Sarif.to_string ~version:Engine.version ~rules diags);
         let n = List.length diags in
         if not quiet then
-          Printf.printf
-            "dqr-lint: %d finding%s (%d cmts: %d analyzed, %d cached)\n" n
+          Printf.printf "dqr-lint: %d finding%s (%d cmts)\n" n
             (if n = 1 then "" else "s")
-            stats.Engine.cmts stats.Engine.analyzed stats.Engine.cache_hits;
+            cmts;
         if n > 0 then 1 else 0
       end
 
@@ -134,33 +117,6 @@ let cmd =
             "Write the findings as SARIF 2.1.0 to $(docv) ('-' for stdout), \
              for code-scanning upload.")
   in
-  let cache_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "cache" ] ~docv:"FILE"
-          ~doc:
-            "Incremental cache: skip re-analyzing .cmt files whose content \
-             digest is unchanged since the last run with the same \
-             configuration. Reports are byte-identical with or without the \
-             cache.")
-  in
-  let jobs =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Fan the per-cmt analysis across $(docv) domains via \
-             Dq_par.Pool (0 = DQ_JOBS or the core count). Results are \
-             independent of $(docv).")
-  in
-  let allowlist =
-    Arg.(
-      value & opt (some string) None
-      & info [ "allowlist" ] ~docv:"FILE"
-          ~doc:
-            "Allowlist file: lines of '<rule-or-*> <path-substring>', \
-             #-comments allowed.")
-  in
   let rules =
     Arg.(
       value & opt string "all"
@@ -175,17 +131,6 @@ let cmd =
             "Debug aid: run every rule on every file, ignoring both the \
              per-rule directory scoping and the default exclusions (so the \
              intentionally-violating lint fixtures flag too).")
-  in
-  let all_scopes =
-    Arg.(
-      value & flag
-      & info [ "all-scopes" ]
-          ~doc:
-            "Lint every scope of the tree (lib/, bin/, test/, bench/). This \
-             is also the default; the flag is kept for compatibility. \
-             Per-rule directory scoping is part of each rule's definition — \
-             a rule outside its scope is vacuous, not violated; use \
-             $(b,--ignore-scopes) to override scoping for rule debugging.")
   in
   let list_rules =
     Arg.(value & flag & info [ "list-rules" ] ~doc:"Print the rule table.")
@@ -206,8 +151,7 @@ let cmd =
           hot-path purity, domain-safety and protocol-lifecycle invariants, \
           machine-checked from the .cmt artifacts dune already builds")
     Term.(
-      const run $ build_dir $ json_out $ sarif_out $ cache_file $ jobs
-      $ allowlist $ rules $ ignore_scopes $ all_scopes $ list_rules $ quiet
-      $ paths)
+      const run $ build_dir $ json_out $ sarif_out $ rules $ ignore_scopes
+      $ list_rules $ quiet $ paths)
 
 let () = exit (Cmd.eval' cmd)

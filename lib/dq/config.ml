@@ -6,8 +6,6 @@ type t = {
   oqs : Qs.t;
   iqs_read_strategy : Strategy.t option;
   iqs_write_strategy : Strategy.t option;
-  oqs_read_strategy : Strategy.t option;
-  oqs_write_strategy : Strategy.t option;
   use_volume_leases : bool;
   volume_lease_ms : float;
   object_lease_ms : float option;
@@ -39,11 +37,11 @@ let validate t =
   if t.renew_margin_ms <= 0. || t.renew_margin_ms >= t.volume_lease_ms then
     invalid_arg "Config: renew margin must lie strictly inside the lease";
   if Qs.size t.iqs = 0 || Qs.size t.oqs = 0 then invalid_arg "Config: empty quorum system";
-  let check_strategy what system mode strategy =
+  let check_strategy what mode strategy =
     match strategy with
     | None -> ()
     | Some s ->
-      if not (Strategy.system s == system) then
+      if not (Strategy.system s == t.iqs) then
         invalid_arg
           (Printf.sprintf "Config: %s is not built over the configured quorum system" what);
       (match Strategy.mode s, mode with
@@ -51,10 +49,8 @@ let validate t =
       | Qs.Read, Qs.Write | Qs.Write, Qs.Read ->
         invalid_arg (Printf.sprintf "Config: %s has the wrong quorum mode" what))
   in
-  check_strategy "iqs_read_strategy" t.iqs Qs.Read t.iqs_read_strategy;
-  check_strategy "iqs_write_strategy" t.iqs Qs.Write t.iqs_write_strategy;
-  check_strategy "oqs_read_strategy" t.oqs Qs.Read t.oqs_read_strategy;
-  check_strategy "oqs_write_strategy" t.oqs Qs.Write t.oqs_write_strategy
+  check_strategy "iqs_read_strategy" Qs.Read t.iqs_read_strategy;
+  check_strategy "iqs_write_strategy" Qs.Write t.iqs_write_strategy
 
 let dqvl ~servers ?(volume_lease_ms = 5000.) ?(proactive_renew = true) ?object_lease_ms
     ?(max_drift = 1e-3) ?max_rounds () =
@@ -64,8 +60,6 @@ let dqvl ~servers ?(volume_lease_ms = 5000.) ?(proactive_renew = true) ?object_l
       oqs = Qs.rowa servers;
       iqs_read_strategy = None;
       iqs_write_strategy = None;
-      oqs_read_strategy = None;
-      oqs_write_strategy = None;
       use_volume_leases = true;
       volume_lease_ms;
       object_lease_ms;

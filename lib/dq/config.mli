@@ -20,12 +20,6 @@ type t = {
           value) with mode [Read]. *)
   iqs_write_strategy : Dq_quorum.Strategy.t option;
       (** same, for IQS writes (impose and write phase 2) *)
-  oqs_read_strategy : Dq_quorum.Strategy.t option;
-      (** same, for OQS reads (the front-end read path) *)
-  oqs_write_strategy : Dq_quorum.Strategy.t option;
-      (** same, for OQS writes (reserved — the OQS write path runs
-          through invalidation fan-out, not QRPC quorum selection, so
-          this is validated but currently unused) *)
   use_volume_leases : bool;
       (** [true] for DQVL (Section 3.2); [false] for the basic
           dual-quorum protocol (Section 3.1), in which OQS copies are

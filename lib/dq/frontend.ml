@@ -103,7 +103,7 @@ let read t ~key ~on_done ~on_fail =
           if t.config.atomic_reads then impose t ~key ~value ~lc ~on_done ~on_fail
           else on_done ~value ~lc
         | None -> () (* a quorum always has at least one reply *))
-      ~prefer:t.me ?tracker:t.tracker ?strategy:t.config.oqs_read_strategy
+      ~prefer:t.me ?tracker:t.tracker
       ~timeout_ms:t.config.retry_timeout_ms
       ~backoff:t.config.retry_backoff ?max_rounds:t.config.max_rounds
       ~on_give_up:(fun () ->

@@ -4,7 +4,6 @@ module D = Diagnostic
 type config = {
   rules : Rules.t list;
   ignore_scopes : bool;
-  allowlist : (string * string) list;
   exclude_paths : string list;
 }
 
@@ -12,7 +11,6 @@ let default_config =
   {
     rules = Rules.all;
     ignore_scopes = false;
-    allowlist = [];
     exclude_paths = [ "test/lint_fixtures" ];
   }
 
@@ -39,21 +37,6 @@ let contains_substring ~sub s =
     done;
     !found
   end
-
-let split_words = Suppress.split_words
-
-let parse_allowlist contents =
-  String.split_on_char '\n' contents
-  |> List.filter_map (fun line ->
-         let line =
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
-         in
-         match split_words line with
-         | [] -> None
-         | [ rule ] -> Some (rule, "")
-         | rule :: path :: _ -> Some (rule, path))
 
 (* ------------------------------------------------------------------ *)
 (* Suppression attributes (parsing shared with Flow via Suppress)      *)
@@ -259,8 +242,6 @@ let is_captured locals = function
 (* The per-file pass                                                   *)
 
 type ctx = {
-  src : string;
-  cfg : config;
   diags : D.t list ref;
   (* rules active for this file, after scoping + file-level attrs *)
   active : (string * Rules.t) list;
@@ -273,14 +254,7 @@ let rule ctx id =
     (fun (rid, r) -> if String.equal rid id then Some r else None)
     ctx.active
 
-let suppressed ctx (r : Rules.t) =
-  List.exists (allow_matches r) !(ctx.allow_stack)
-  || List.exists
-       (fun (rid, sub) ->
-         (String.equal rid "*" || String.equal rid r.id
-         || String.equal rid r.name)
-         && contains_substring ~sub ctx.src)
-       ctx.cfg.allowlist
+let suppressed ctx (r : Rules.t) = List.exists (allow_matches r) !(ctx.allow_stack)
 
 let report ctx id ~loc fmt =
   Printf.ksprintf
@@ -639,19 +613,12 @@ let run_file cfg src str =
   | [] -> []
   | _ :: _ ->
     let ctx =
-      {
-        src;
-        cfg;
-        diags = ref [];
-        active;
-        allow_stack = ref [];
-        guard_depth = ref 0;
-      }
+      { diags = ref []; active; allow_stack = ref []; guard_depth = ref 0 }
     in
     let it = make_iterator ctx in
     it.structure it str;
     (* R7 escape analysis: a separate function-level pass (see Flow).
-       Rule activation, allowlists and dedup all flow through [report]. *)
+       Rule activation, suppression and dedup all flow through [report]. *)
     Flow.check
       ~report:(fun ~loc msg -> report ctx "R7" ~loc "%s" msg)
       str;
@@ -692,16 +659,26 @@ let source_of_cmt (cmt : Cmt_format.cmt_infos) =
 
 let excluded cfg src = List.exists (fun p -> starts_with ~prefix:p src) cfg.exclude_paths
 
-let lint_cmt ?(root = "_build/default") cfg cmt_path =
+let read_cmt cmt_path =
   match Cmt_format.read_cmt cmt_path with
-  | exception e ->
-    Error (Printf.sprintf "%s: %s" cmt_path (Printexc.to_string e))
-  | cmt -> (
-    match (source_of_cmt cmt, cmt.cmt_annots) with
-    | Some src, Implementation str when not (excluded cfg src) ->
-      setup_load_path ~root cmt;
-      Ok (run_file cfg src str)
-    | _ -> Ok [])
+  | exception e -> Error (Printf.sprintf "%s: %s" cmt_path (Printexc.to_string e))
+  | cmt -> Ok cmt
+
+(* The source and typedtree of a cmt the config lints, if any. *)
+let lintable cfg (cmt : Cmt_format.cmt_infos) =
+  match (source_of_cmt cmt, cmt.cmt_annots) with
+  | Some src, Implementation str when not (excluded cfg src) -> Some (src, str)
+  | _ -> None
+
+let lint_cmt ?(root = "_build/default") cfg cmt_path =
+  Result.map
+    (fun cmt ->
+      match lintable cfg cmt with
+      | Some (src, str) ->
+        setup_load_path ~root cmt;
+        run_file cfg src str
+      | None -> [])
+    (read_cmt cmt_path)
 
 (* ------------------------------------------------------------------ *)
 (* Build-dir walking                                                   *)
@@ -730,118 +707,28 @@ let path_selected paths src =
         || starts_with ~prefix:p src)
       paths
 
-(* Bumped with any behavior change to the rules or the engine: it keys
-   the incremental cache, so an upgraded linter never serves findings
-   computed by its predecessor. *)
+(* Bumped with any behavior change to the rules or the engine; reports
+   and SARIF advertise it. *)
 let version = "2.1.0"
 
-type stats = { cmts : int; analyzed : int; cache_hits : int }
-
-(* Everything a cached entry's validity depends on besides the cmt
-   bytes themselves. *)
-let config_fingerprint cfg =
-  let b = Buffer.create 256 in
-  Buffer.add_string b version;
-  Buffer.add_char b '|';
-  List.iter
-    (fun (r : Rules.t) ->
-      Buffer.add_string b r.id;
-      Buffer.add_char b ',')
-    cfg.rules;
-  Buffer.add_string b (if cfg.ignore_scopes then "|noscope|" else "|scoped|");
-  List.iter
-    (fun (rule, sub) ->
-      Buffer.add_string b rule;
-      Buffer.add_char b '=';
-      Buffer.add_string b sub;
-      Buffer.add_char b ',')
-    cfg.allowlist;
-  Buffer.add_char b '|';
-  List.iter
-    (fun p ->
-      Buffer.add_string b p;
-      Buffer.add_char b ',')
-    cfg.exclude_paths;
-  Digest.to_hex (Digest.string (Buffer.contents b))
-
-type outcome =
-  | Done of { digest : string; entry : Cache.entry; fresh : bool }
-  | Broken of string
-
-(* compiler-libs' load path, env and Envaux caches are process-global
-   and not domain-safe, so the typed analysis itself is serialized; the
-   per-cmt digest and unmarshalling fan out across the pool, which is
-   where a warm-cache run spends its time. *)
-let analysis_mutex = Mutex.create ()
-
-let process_cmt cfg cache root cmt_path =
-  match Digest.file cmt_path with
-  | exception e ->
-    Broken (Printf.sprintf "%s: %s" cmt_path (Printexc.to_string e))
-  | digest -> (
-    let digest = Digest.to_hex digest in
-    match Cache.find cache digest with
-    | Some entry -> Done { digest; entry; fresh = false }
-    | None -> (
-      match Cmt_format.read_cmt cmt_path with
-      | exception e ->
-        Broken (Printf.sprintf "%s: %s" cmt_path (Printexc.to_string e))
-      | cmt -> (
-        match (source_of_cmt cmt, cmt.cmt_annots) with
-        | Some src, Implementation str when not (excluded cfg src) ->
-          Mutex.protect analysis_mutex (fun () ->
-              setup_load_path ~root cmt;
-              let entry = { Cache.src; diags = run_file cfg src str } in
-              Done { digest; entry; fresh = true })
-        | _ ->
-          (* nothing lintable (interface-only cmt, excluded path, mli):
-             cache the emptiness so reruns skip the unmarshal too *)
-          Done
-            { digest; entry = { Cache.src = ""; diags = [] }; fresh = true })))
-
-let lint_build_dir ?(paths = []) ?(jobs = 1) ?cache_file cfg build_dir =
+let lint_build_dir ?(paths = []) cfg build_dir =
   let cmts = List.rev (walk_dir build_dir []) in
-  let fingerprint = config_fingerprint cfg in
-  let cache =
-    match cache_file with
-    | None -> Cache.empty fingerprint
-    | Some f -> Cache.load ~file:f ~fingerprint
-  in
-  let process path = process_cmt cfg cache build_dir path in
-  let outcomes =
-    if jobs = 1 then List.map process cmts
-    else
-      Dq_par.Pool.with_pool ~jobs (fun pool ->
-          Dq_par.Pool.map ~chunk_size:4 pool process cmts)
-  in
   let seen = Hashtbl.create 128 in
   let diags = ref [] in
   let errors = ref [] in
-  let entries = ref [] in
-  let analyzed = ref 0 in
-  let hits = ref 0 in
   List.iter
-    (fun outcome ->
-      match outcome with
-      | Broken msg -> errors := msg :: !errors
-      | Done { digest; entry; fresh } ->
-        entries := (digest, entry) :: !entries;
-        if fresh then incr analyzed else incr hits;
-        let src = entry.Cache.src in
-        if
-          (not (String.equal src ""))
-          && (not (Hashtbl.mem seen src))
-          && path_selected paths src
-        then begin
-          (* several executables may recompile the same source; first
-             cmt in walk order wins, as before *)
+    (fun cmt_path ->
+      match read_cmt cmt_path with
+      | Error msg -> errors := msg :: !errors
+      | Ok cmt -> (
+        match lintable cfg cmt with
+        | Some (src, str)
+          when (not (Hashtbl.mem seen src)) && path_selected paths src ->
+          (* several executables may recompile the same source; the
+             first cmt in walk order wins *)
           Hashtbl.add seen src ();
-          diags := entry.Cache.diags @ !diags
-        end)
-    outcomes;
-  (match cache_file with
-  | None -> ()
-  | Some f -> Cache.save ~file:f ~fingerprint (List.rev !entries));
-  ( List.sort_uniq D.compare !diags,
-    List.rev !errors,
-    { cmts = List.length cmts; analyzed = !analyzed; cache_hits = !hits } )
+          setup_load_path ~root:build_dir cmt;
+          diags := run_file cfg src str @ !diags
+        | _ -> ()))
+    cmts;
+  (List.sort_uniq D.compare !diags, List.rev !errors, List.length cmts)

@@ -11,17 +11,13 @@
       the payload names one or more rule ids or names (comma/space
       separated); an empty payload allows every rule for that subtree;
     - file-level floating attribute: [[@@@dqr.lint.allow "R2"]]
-      anywhere in the file suppresses that rule for the whole file;
-    - allowlist file: lines of [<rule-id-or-*> <path-substring>],
-      [#]-comments allowed. *)
+      anywhere in the file suppresses that rule for the whole file. *)
 
 type config = {
   rules : Rules.t list;  (** rules to run (default: all) *)
   ignore_scopes : bool;
       (** run every rule on every file, ignoring [Rules.applies] — used
           by the fixture tests, which live outside the scoped dirs *)
-  allowlist : (string * string) list;
-      (** [(rule, path-substring)] pairs; rule ["*"] matches any rule *)
   exclude_paths : string list;
       (** project-relative path prefixes to skip entirely (default:
           the lint fixtures, which violate on purpose) *)
@@ -30,17 +26,7 @@ type config = {
 val default_config : config
 
 val version : string
-(** Engine version, advertised in reports and SARIF and folded into the
-    incremental-cache fingerprint. *)
-
-val parse_allowlist : string -> (string * string) list
-(** Parse allowlist file contents (not a path). *)
-
-type stats = {
-  cmts : int;  (** [.cmt] artifacts visited *)
-  analyzed : int;  (** read and analyzed this run (cache misses) *)
-  cache_hits : int;  (** served from the incremental cache *)
-}
+(** Engine version, advertised in reports and SARIF. *)
 
 val lint_cmt :
   ?root:string -> config -> string -> (Diagnostic.t list, string) result
@@ -51,23 +37,14 @@ val lint_cmt :
 
 val lint_build_dir :
   ?paths:string list ->
-  ?jobs:int ->
-  ?cache_file:string ->
   config ->
   string ->
-  Diagnostic.t list * string list * stats
+  Diagnostic.t list * string list * int
 (** [lint_build_dir ~paths config build_dir] walks [build_dir]
-    recursively for [.cmt] files, lints each compilation unit once
-    (several executables may recompile the same source — findings are
-    deduplicated), and returns sorted diagnostics, load errors, and run
-    stats. [paths] filters findings to files under the given
-    project-relative prefixes.
-
-    [jobs] (default 1) fans the per-cmt work across a {!Dq_par.Pool};
-    the typed analysis itself serializes on a process-global lock
-    (compiler-libs' env caches are not domain-safe) while digesting and
-    unmarshalling parallelize, and results are order-independent of
-    [jobs] by construction. [cache_file] enables the incremental cache:
-    entries are keyed by cmt content digest under a config+engine
-    fingerprint, so only changed cmts re-analyze and a warm run's report
-    is byte-identical to a cold one. *)
+    recursively for [.cmt] files in one serial pass and lints each
+    compilation unit once (several executables may recompile the same
+    source; the first cmt in walk order wins, so findings are not
+    duplicated). It returns the sorted diagnostics, the load errors (one
+    per [.cmt] that could not be read) and the number of [.cmt] files
+    walked. [paths] filters findings to files under the given
+    project-relative prefixes. *)

@@ -16,4 +16,4 @@ val check :
   report:(loc:Location.t -> string -> unit) -> Typedtree.structure -> unit
 (** Walk every module-level binding (including nested modules) and call
     [report] once per escaping raw fold, at the fold's location. The
-    caller owns rule activation, allowlists and diagnostic assembly. *)
+    caller owns rule activation, suppression and diagnostic assembly. *)

@@ -23,4 +23,4 @@ val find : string -> t option
 
 val normalize : string -> string
 (** Strip a leading ["./"] and normalize separators, so scoping and
-    allowlist matching see the same spelling the compiler recorded. *)
+    path filtering see the same spelling the compiler recorded. *)

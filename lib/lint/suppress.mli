@@ -5,10 +5,6 @@
 val allow_attr : string
 (** The attribute name, ["dqr.lint.allow"]. *)
 
-val split_words : string -> string list
-(** Split a payload (or allowlist line) on commas and spaces, dropping
-    empties. *)
-
 val allows_of_attributes : Typedtree.attributes -> string list
 (** The rule keys named by any [\[@dqr.lint.allow\]] in the list; an
     empty or non-string payload yields [\["*"\]] (allow everything). *)

@@ -1,27 +1,5 @@
-let reporter engine =
-  let report src _level ~over k msgf =
-    msgf (fun ?header ?tags fmt ->
-        ignore header;
-        ignore tags;
-        let k _ =
-          over ();
-          k ()
-        in
-        Format.kfprintf k Format.std_formatter
-          ("[%9.1fms] [%s] " ^^ fmt ^^ "@.")
-          (Engine.now engine) (Logs.Src.name src))
-  in
-  { Logs.report }
-
-let setup ?(level = Logs.Debug) engine =
-  Logs.set_reporter (reporter engine);
-  Logs.set_level (Some level)
-
-(* The same human-readable rendering, as a telemetry sink: every typed
-   bus event prints as one virtual-time-stamped line. This supersedes
-   the Logs reporter above (kept for the few remaining free-text
-   sources) — [attach] sees protocol, network, and harness events
-   without any Logs configuration. *)
+(* The human-readable rendering sink: every typed bus event prints as
+   one virtual-time-stamped line. *)
 let attach ?(ppf = Format.std_formatter) engine =
   Dq_telemetry.Bus.subscribe (Engine.telemetry engine) (fun ~time_ms ev ->
       Format.fprintf ppf "[%9.1fms] [%s] %a@." time_ms (Dq_telemetry.Event.cat ev)

@@ -1,25 +1,15 @@
-(** Logging wired to virtual time.
+(** A human-readable log wired to virtual time.
 
-    The libraries log through {!Logs} with per-subsystem sources; this
-    module provides a reporter that stamps every message with the
-    engine's current virtual time, so protocol traces read like the
-    paper's message diagrams:
+    {!attach} subscribes a rendering sink to the engine's telemetry bus
+    that stamps every typed event with its virtual time, so protocol
+    traces read like the paper's message diagrams:
 
-    {v [  1040.2ms] [dq.iqs] node 3: write v0/o0 lc=2.0 -> write through v}
+    {v [      8.1ms] [lease] node 0: volume 0 lease from 1 expired v}
 
-    Enable with [Sim_log.setup ~level:Logs.Debug engine] (tests and the
-    CLI's [--verbose] flag do). Logging defaults to off; the simulator
-    behaves identically either way. *)
-
-val reporter : Engine.t -> Logs.reporter
-(** A reporter printing to [stdout] with virtual-time stamps. *)
-
-val setup : ?level:Logs.level -> Engine.t -> unit
-(** Install {!reporter} and set the global log level. *)
+    [dqr run --verbose] attaches it. Nothing prints unless it is
+    attached; the simulator behaves identically either way. *)
 
 val attach : ?ppf:Format.formatter -> Engine.t -> unit
-(** Subscribe a human-readable rendering sink to the engine's telemetry
-    bus: every typed event prints as a virtual-time-stamped line in the
-    same format as {!reporter}. This is the log "backend" of the
-    telemetry bus — unlike {!setup} it needs no [Logs] configuration
-    and sees every typed event from every layer. *)
+(** Subscribe the rendering sink to the engine's telemetry bus: every
+    typed event from every layer prints to [ppf] (default [stdout]) as
+    one [[<time>ms] [<category>] <event>] line. *)

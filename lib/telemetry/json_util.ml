@@ -1,5 +1,5 @@
 (* Shared hand-rolled JSON emission helpers for the telemetry sinks
-   (metrics, AoI). Output discipline: object keys in a fixed order,
+   (metrics, AoI, trace). Output discipline: object keys in a fixed order,
    floats through [num] so documents are stable and diff-friendly for
    golden tests and the bench results differ. *)
 

@@ -6,29 +6,11 @@
    Timestamps are microseconds, so virtual milliseconds scale by
    1000. *)
 
+module J = Json_util
+
 type t = { buf : Buffer.t; mutable count : int }
 
 let create () = { buf = Buffer.create 4096; count = 0 }
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* Compact float: integral values without a trailing dot so the JSON is
-   stable and diff-friendly for golden tests. *)
-let num f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
 
 let add_record t json =
   if t.count > 0 then Buffer.add_string t.buf ",\n";
@@ -40,7 +22,7 @@ let set_process_name t ~pid name =
   add_record t
     (Printf.sprintf
        {|{"name":"process_name","ph":"M","pid":%d,"tid":0,"args":{"name":"%s"}}|} pid
-       (escape name))
+       (J.escape name))
 
 (* Per-event display name and args payload. Message and fault events
    surface their protocol label as the Perfetto row name; everything
@@ -49,49 +31,49 @@ let name_and_args (ev : Event.t) =
   let open Printf in
   match ev with
   | Msg_sent { src; dst; label; bytes; local } ->
-    ( sprintf "send %s" (escape label),
+    ( sprintf "send %s" (J.escape label),
       sprintf {|{"src":%d,"dst":%d,"bytes":%d,"local":%b}|} src dst bytes local )
   | Msg_delivered { src; dst; label } ->
-    (sprintf "recv %s" (escape label), sprintf {|{"src":%d,"dst":%d}|} src dst)
+    (sprintf "recv %s" (J.escape label), sprintf {|{"src":%d,"dst":%d}|} src dst)
   | Msg_dropped { src; dst; label; reason } ->
-    ( sprintf "drop %s" (escape label),
-      sprintf {|{"src":%d,"dst":%d,"reason":"%s"}|} src dst (escape reason) )
+    ( sprintf "drop %s" (J.escape label),
+      sprintf {|{"src":%d,"dst":%d,"reason":"%s"}|} src dst (J.escape reason) )
   | Op_start { op; client; kind; key } ->
-    ( sprintf "%s start" (escape kind),
-      sprintf {|{"op":%d,"client":%d,"key":"%s"}|} op client (escape key) )
+    ( sprintf "%s start" (J.escape kind),
+      sprintf {|{"op":%d,"client":%d,"key":"%s"}|} op client (J.escape key) )
   | Op_complete { op; client; kind; latency_ms; _ } ->
-    ( escape kind,
-      sprintf {|{"op":%d,"client":%d,"latency_ms":%s}|} op client (num latency_ms) )
+    ( J.escape kind,
+      sprintf {|{"op":%d,"client":%d,"latency_ms":%s}|} op client (J.num latency_ms) )
   | Op_served { op; client; kind; key; lc_count; lc_node; _ } ->
-    ( sprintf "%s served" (escape kind),
-      sprintf {|{"op":%d,"client":%d,"key":"%s","lc":"%d.%d"}|} op client (escape key)
+    ( sprintf "%s served" (J.escape kind),
+      sprintf {|{"op":%d,"client":%d,"key":"%s","lc":"%d.%d"}|} op client (J.escape key)
         lc_count lc_node )
   | Op_timeout { op; client; kind } ->
-    (sprintf "%s timeout" (escape kind), sprintf {|{"op":%d,"client":%d}|} op client)
+    (sprintf "%s timeout" (J.escape kind), sprintf {|{"op":%d,"client":%d}|} op client)
   | Op_give_up { op; client; kind } ->
-    (sprintf "%s give-up" (escape kind), sprintf {|{"op":%d,"client":%d}|} op client)
+    (sprintf "%s give-up" (J.escape kind), sprintf {|{"op":%d,"client":%d}|} op client)
   | Lease_granted { node; peer; volume; lease_ms; epoch } ->
     ( "lease_granted",
       sprintf {|{"node":%d,"peer":%d,"volume":%d,"lease_ms":%s,"epoch":%d}|} node peer
-        volume (num lease_ms) epoch )
+        volume (J.num lease_ms) epoch )
   | Lease_expired { node; peer; volume } ->
     ("lease_expired", sprintf {|{"node":%d,"peer":%d,"volume":%d}|} node peer volume)
   | Inval_through { node; peer; key } ->
-    ("inval_through", sprintf {|{"node":%d,"peer":%d,"key":"%s"}|} node peer (escape key))
+    ("inval_through", sprintf {|{"node":%d,"peer":%d,"key":"%s"}|} node peer (J.escape key))
   | Inval_suppressed { node; key } ->
-    ("inval_suppressed", sprintf {|{"node":%d,"key":"%s"}|} node (escape key))
+    ("inval_suppressed", sprintf {|{"node":%d,"key":"%s"}|} node (J.escape key))
   | Inval_delayed { node; peer; key } ->
-    ("inval_delayed", sprintf {|{"node":%d,"peer":%d,"key":"%s"}|} node peer (escape key))
+    ("inval_delayed", sprintf {|{"node":%d,"peer":%d,"key":"%s"}|} node peer (J.escape key))
   | Epoch_advance { node; peer; volume; epoch } ->
     ( "epoch_advance",
       sprintf {|{"node":%d,"peer":%d,"volume":%d,"epoch":%d}|} node peer volume epoch )
   | Cache_read { node; key; hit } ->
     ( (if hit then "read hit" else "read miss"),
-      sprintf {|{"node":%d,"key":"%s"}|} node (escape key) )
+      sprintf {|{"node":%d,"key":"%s"}|} node (J.escape key) )
   | Rpc_round { node; tag; round } ->
-    (sprintf "%s round" (escape tag), sprintf {|{"node":%d,"round":%d}|} node round)
+    (sprintf "%s round" (J.escape tag), sprintf {|{"node":%d,"round":%d}|} node round)
   | Rpc_give_up { node; tag; rounds } ->
-    (sprintf "%s give-up" (escape tag), sprintf {|{"node":%d,"rounds":%d}|} node rounds)
+    (sprintf "%s give-up" (J.escape tag), sprintf {|{"node":%d,"rounds":%d}|} node rounds)
   | Link_cut { src; dst } -> ("link_cut", sprintf {|{"src":%d,"dst":%d}|} src dst)
   | Link_uncut { src; dst } -> ("link_uncut", sprintf {|{"src":%d,"dst":%d}|} src dst)
   | Node_crash { node } -> ("node_crash", sprintf {|{"node":%d}|} node)
@@ -101,14 +83,14 @@ let name_and_args (ev : Event.t) =
   | Recovery_done { node; bytes; objects; duration_ms } ->
     ( "recovery_done",
       sprintf {|{"node":%d,"bytes":%d,"objects":%d,"duration_ms":%s}|} node bytes objects
-        (num duration_ms) )
-  | Fault_injected { label } -> (escape label, {|{}|})
+        (J.num duration_ms) )
+  | Fault_injected { label } -> (J.escape label, {|{}|})
   | Clock_skew { node; skew } ->
-    ("clock_skew", sprintf {|{"node":%d,"skew":%s}|} node (num skew))
-  | Span_begin { name; node } -> (escape name, sprintf {|{"node":%d}|} node)
-  | Span_end { name; node } -> (escape name, sprintf {|{"node":%d}|} node)
+    ("clock_skew", sprintf {|{"node":%d,"skew":%s}|} node (J.num skew))
+  | Span_begin { name; node } -> (J.escape name, sprintf {|{"node":%d}|} node)
+  | Span_end { name; node } -> (J.escape name, sprintf {|{"node":%d}|} node)
   | Note { src; msg } ->
-    (sprintf "note %s" (escape src), sprintf {|{"msg":"%s"}|} (escape msg))
+    (sprintf "note %s" (J.escape src), sprintf {|{"msg":"%s"}|} (J.escape msg))
 
 let record ?(pid = 0) t ~time_ms ev =
   let name, args = name_and_args ev in
@@ -122,19 +104,19 @@ let record ?(pid = 0) t ~time_ms ev =
       Printf.sprintf
         {|{"name":"%s","cat":"%s","ph":"X","ts":%s,"dur":%s,"pid":%d,"tid":%d,"args":%s}|}
         name cat
-        (num (start_ms *. 1000.))
-        (num (latency_ms *. 1000.))
+        (J.num (start_ms *. 1000.))
+        (J.num (latency_ms *. 1000.))
         pid tid args
     | Event.Span_begin _ ->
       Printf.sprintf {|{"name":"%s","cat":"%s","ph":"B","ts":%s,"pid":%d,"tid":%d,"args":%s}|}
-        name cat (num ts) pid tid args
+        name cat (J.num ts) pid tid args
     | Event.Span_end _ ->
       Printf.sprintf {|{"name":"%s","cat":"%s","ph":"E","ts":%s,"pid":%d,"tid":%d}|} name
-        cat (num ts) pid tid
+        cat (J.num ts) pid tid
     | _ ->
       Printf.sprintf
         {|{"name":"%s","cat":"%s","ph":"i","ts":%s,"pid":%d,"tid":%d,"s":"t","args":%s}|}
-        name cat (num ts) pid tid args
+        name cat (J.num ts) pid tid args
   in
   add_record t json
 

@@ -1,5 +1,5 @@
 (* Odds and ends of the harness: table rendering of experiment rows,
-   the virtual-time log reporter, and registry coherence. *)
+   the virtual-time log sink, and registry coherence. *)
 
 module E = Dq_harness.Experiment
 module Render = Dq_harness.Render
@@ -58,24 +58,21 @@ let test_render_series_formats () =
 let test_scientific () =
   Alcotest.(check string) "formats" "6.05e-13" (Render.scientific 6.05e-13)
 
-let test_sim_log_reporter_stamps_time () =
+let test_sim_log_stamps_time () =
   let engine = Engine.create () in
-  (* Install, emit at two virtual times, restore defaults. *)
   let buf = Buffer.create 128 in
-  let reporter = Dq_sim.Sim_log.reporter engine in
-  Logs.set_reporter reporter;
-  Logs.set_level (Some Logs.Debug);
-  let src = Logs.Src.create "test.src" in
-  let module Log = (val Logs.src_log src : Logs.LOG) in
-  (* Capture by redirecting the formatter is awkward; instead verify the
-     reporter formats without raising at different virtual times. *)
-  Log.debug (fun m -> m "hello %d" 1);
-  ignore (Engine.schedule engine ~delay:123. (fun () -> Log.debug (fun m -> m "later")));
+  let ppf = Format.formatter_of_buffer buf in
+  Dq_sim.Sim_log.attach ~ppf engine;
+  let bus = Engine.telemetry engine in
+  let ev = Dq_telemetry.Event.Note { src = "test"; msg = "later" } in
+  ignore (Engine.schedule engine ~delay:123. (fun () -> Dq_telemetry.Bus.emit bus ev));
   Engine.run engine;
-  Logs.set_reporter Logs.nop_reporter;
-  Logs.set_level None;
-  ignore buf;
-  Alcotest.(check (float 0.)) "time advanced" 123. (Engine.now engine)
+  Format.pp_print_flush ppf ();
+  let line = Buffer.contents buf in
+  let prefix = "[    123.0ms] [" in
+  Alcotest.(check string)
+    "stamped with virtual time" prefix
+    (String.sub line 0 (min (String.length prefix) (String.length line)))
 
 let test_registry_names_are_unique () =
   let builders =
@@ -125,7 +122,7 @@ let () =
           Alcotest.test_case "series" `Quick test_render_series_formats;
           Alcotest.test_case "scientific" `Quick test_scientific;
         ] );
-      ("logging", [ Alcotest.test_case "reporter" `Quick test_sim_log_reporter_stamps_time ]);
+      ("logging", [ Alcotest.test_case "reporter" `Quick test_sim_log_stamps_time ]);
       ( "registry",
         [
           Alcotest.test_case "unique names" `Quick test_registry_names_are_unique;

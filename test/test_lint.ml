@@ -170,7 +170,7 @@ let test_golden_r10 () =
   Alcotest.(check (list string)) "r10_bad golden" expected (strings (lint "r10_bad"))
 
 (* ------------------------------------------------------------------ *)
-(* Suppression: attributes and the allowlist file                      *)
+(* Suppression: inline attributes                                      *)
 
 let test_suppression_attributes () =
   (* suppressed.ml repeats violations of R1 and R2 and of the wall-clock
@@ -179,38 +179,6 @@ let test_suppression_attributes () =
   Alcotest.(check (list string))
     "suppressed.ml is silent" []
     (strings (lint "suppressed"))
-
-let test_parse_allowlist () =
-  let parsed =
-    Engine.parse_allowlist
-      "# tolerated debt, see DESIGN.md section 9\n\
-       R1 lib/harness/legacy.ml\n\
-       \n\
-       *  test/scratch\n"
-  in
-  Alcotest.(check (list (pair string string)))
-    "parsed entries"
-    [ ("R1", "lib/harness/legacy.ml"); ("*", "test/scratch") ]
-    parsed
-
-let test_allowlist_filters () =
-  let with_allow allowlist = { fixture_cfg with Engine.allowlist } in
-  (* Matching rule + path substring silences the file. *)
-  Alcotest.(check int)
-    "R1 allow silences r1_bad" 0
-    (List.length (lint ~cfg:(with_allow [ ("R1", "lint_fixtures/r1_bad") ]) "r1_bad"));
-  (* Wildcard rule matches everything on that path. *)
-  Alcotest.(check int)
-    "* allow silences r5_bad" 0
-    (List.length (lint ~cfg:(with_allow [ ("*", "r5_bad") ]) "r5_bad"));
-  (* Wrong rule id leaves the findings alone. *)
-  Alcotest.(check int)
-    "R2 allow does not touch r1_bad" 5
-    (List.length (lint ~cfg:(with_allow [ ("R2", "r1_bad") ]) "r1_bad"));
-  (* The new rules honour the allowlist through the same path. *)
-  Alcotest.(check int)
-    "R7 allow silences r7_bad" 0
-    (List.length (lint ~cfg:(with_allow [ ("R7", "r7_bad") ]) "r7_bad"))
 
 (* ------------------------------------------------------------------ *)
 (* Scoping: rules only fire inside their declared subtrees             *)
@@ -325,7 +293,7 @@ let test_report_stability () =
   Alcotest.(check string) "sarif bytes stable" sarif1 sarif2
 
 (* ------------------------------------------------------------------ *)
-(* The parallel driver and the incremental cache                       *)
+(* The build-dir walk                                                  *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -339,83 +307,35 @@ let write_file path contents =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc contents)
 
-(* A throwaway build dir holding copies of two fixture cmts, so the
-   walk/cache behavior is observable with known contents. *)
-let with_probe_dir f =
-  let dir = "lint_cache_probe" in
-  let cache = "lint_cache_probe.bin" in
+(* A throwaway build dir holding copies of fixture cmts: two units, a
+   second copy of the first (same source, as when several executables
+   recompile one file) and a truncated artifact that cannot load. *)
+let test_build_dir_walk () =
+  let dir = "lint_walk_probe" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let cleanup () =
-    Array.iter
-      (fun n -> Sys.remove (Filename.concat dir n))
-      (Sys.readdir dir);
-    Sys.rmdir dir;
-    if Sys.file_exists cache then Sys.remove cache
+    Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+    Sys.rmdir dir
   in
-  Fun.protect ~finally:cleanup (fun () -> f ~dir ~cache)
-
-let test_cache_incremental () =
-  with_probe_dir (fun ~dir ~cache ->
-      write_file
-        (Filename.concat dir "a.cmt")
-        (read_file "lint_fixtures/r6_bad.cmt");
-      write_file
-        (Filename.concat dir "b.cmt")
-        (read_file "lint_fixtures/r8_bad.cmt");
-      let run () = Engine.lint_build_dir ~cache_file:cache fixture_cfg dir in
-      (* Cold: everything analyzes. *)
-      let ds1, errs1, st1 = run () in
-      Alcotest.(check (list string)) "no load errors" [] errs1;
+  Fun.protect ~finally:cleanup (fun () ->
+      let r6 = read_file "lint_fixtures/r6_bad.cmt" in
+      let put name contents = write_file (Filename.concat dir name) contents in
+      put "a.cmt" r6;
+      put "b.cmt" (read_file "lint_fixtures/r8_bad.cmt");
+      put "c.cmt" r6;
+      put "truncated.cmt" (String.sub r6 0 (String.length r6 / 2));
+      let ds, errors, cmts = Engine.lint_build_dir fixture_cfg dir in
       Alcotest.(check (list string))
-        "cold findings"
+        "findings (the duplicate source adds none)"
         [ "R6"; "R6"; "R8"; "R8"; "R8" ]
-        (ids ds1);
-      Alcotest.(check int) "cold: 2 cmts" 2 st1.Engine.cmts;
-      Alcotest.(check int) "cold: 2 analyzed" 2 st1.Engine.analyzed;
-      Alcotest.(check int) "cold: 0 hits" 0 st1.Engine.cache_hits;
-      (* Warm: nothing re-analyzes, the report is byte-identical. *)
-      let ds2, _, st2 = run () in
-      Alcotest.(check int) "warm: 0 analyzed" 0 st2.Engine.analyzed;
-      Alcotest.(check int) "warm: 2 hits" 2 st2.Engine.cache_hits;
-      Alcotest.(check string)
-        "warm report byte-identical"
-        (D.list_to_json ~rules:Rules.all ds1)
-        (D.list_to_json ~rules:Rules.all ds2);
-      (* Touch one cmt (its content digest changes): only it re-analyzes. *)
-      write_file
-        (Filename.concat dir "b.cmt")
-        (read_file "lint_fixtures/r9_bad.cmt");
-      let ds3, _, st3 = run () in
-      Alcotest.(check int) "touched: 1 analyzed" 1 st3.Engine.analyzed;
-      Alcotest.(check int) "touched: 1 hit" 1 st3.Engine.cache_hits;
-      Alcotest.(check (list string))
-        "touched findings"
-        [ "R6"; "R6"; "R9"; "R9" ]
-        (ids ds3);
-      (* A different config invalidates the whole cache (fingerprint):
-         stale entries are never served across configurations. *)
-      let other = { fixture_cfg with Engine.allowlist = [ ("R6", "r6") ] } in
-      let ds4, _, st4 =
-        Engine.lint_build_dir ~cache_file:cache other dir
-      in
-      Alcotest.(check int) "new config: all analyzed" 2 st4.Engine.analyzed;
-      Alcotest.(check (list string)) "allowlisted config" [ "R9"; "R9" ]
-        (ids ds4))
-
-let test_parallel_matches_serial () =
-  with_probe_dir (fun ~dir ~cache:_ ->
-      List.iter
-        (fun n ->
-          write_file
-            (Filename.concat dir (n ^ ".cmt"))
-            (read_file (Filename.concat "lint_fixtures" (n ^ ".cmt"))))
-        [ "r6_bad"; "r7_bad"; "r8_bad"; "r9_bad"; "r1_ok"; "r7_ok" ];
-      let serial, _, _ = Engine.lint_build_dir ~jobs:1 fixture_cfg dir in
-      let par, _, _ = Engine.lint_build_dir ~jobs:4 fixture_cfg dir in
-      Alcotest.(check (list string))
-        "jobs=4 report identical to jobs=1"
-        (List.map D.to_string serial)
-        (List.map D.to_string par))
+        (ids ds);
+      (match errors with
+      | [ e ] ->
+        Alcotest.(check bool)
+          "load error names the truncated cmt" true
+          (contains e "truncated.cmt")
+      | _ -> Alcotest.failf "expected one load error, got %d" (List.length errors));
+      Alcotest.(check int) "cmts walked" 4 cmts)
 
 (* ------------------------------------------------------------------ *)
 (* Rule registry                                                       *)
@@ -457,8 +377,6 @@ let () =
       ( "suppression",
         [
           Alcotest.test_case "attributes" `Quick test_suppression_attributes;
-          Alcotest.test_case "parse allowlist" `Quick test_parse_allowlist;
-          Alcotest.test_case "allowlist filtering" `Quick test_allowlist_filters;
         ] );
       ( "config",
         [
@@ -469,9 +387,5 @@ let () =
           Alcotest.test_case "rule registry" `Quick test_rule_registry;
         ] );
       ( "engine",
-        [
-          Alcotest.test_case "incremental cache" `Quick test_cache_incremental;
-          Alcotest.test_case "parallel = serial" `Quick
-            test_parallel_matches_serial;
-        ] );
+        [ Alcotest.test_case "build-dir walk" `Quick test_build_dir_walk ] );
     ]
