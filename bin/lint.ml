@@ -81,7 +81,7 @@ let run build_dir json_out sarif_out rules_spec ignore_scopes show_rules quiet
           }
         in
         let diags, errors, cmts = Engine.lint_build_dir ~paths cfg build_dir in
-        List.iter (fun e -> Printf.eprintf "dqr-lint: warning: %s\n" e) errors;
+        List.iter (fun e -> Printf.eprintf "dqr-lint: error: %s\n" e) errors;
         if not quiet then
           List.iter (fun d -> print_endline (Diagnostic.to_string d)) diags;
         emit json_out (Diagnostic.list_to_json ~rules diags);
@@ -91,7 +91,8 @@ let run build_dir json_out sarif_out rules_spec ignore_scopes show_rules quiet
           Printf.printf "dqr-lint: %d finding%s (%d cmts)\n" n
             (if n = 1 then "" else "s")
             cmts;
-        if n > 0 then 1 else 0
+        (* a load error means part of the tree went unread *)
+        match errors with _ :: _ -> 2 | [] -> if n > 0 then 1 else 0
       end
 
 let cmd =

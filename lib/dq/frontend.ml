@@ -17,10 +17,7 @@ type t = {
   mutable next_op : int;
   mutable last_issued : Lc.t;
   mutable pending : (int, pending) Hashtbl.t;
-  mutable seen_client_ops : (int * int, unit) Hashtbl.t;
-      (* (client, op) pairs already accepted: the network may duplicate
-         requests, and executing a client write twice would issue two
-         distinct writes for one client operation *)
+  mutable seen_client_ops : Dq_util.Seen_ops.t; (* duplicate suppression *)
 }
 
 let create ~net ~config ~rng ~me =
@@ -41,15 +38,8 @@ let create ~net ~config ~rng ~me =
     next_op = 0;
     last_issued = Lc.zero;
     pending = Hashtbl.create 16;
-    seen_client_ops = Hashtbl.create 16;
+    seen_client_ops = Dq_util.Seen_ops.create ();
   }
-
-let fresh_client_op t ~client ~op =
-  if Hashtbl.mem t.seen_client_ops (client, op) then false
-  else begin
-    Hashtbl.add t.seen_client_ops (client, op) ();
-    true
-  end
 
 let fresh_op t =
   let op = t.next_op in
@@ -176,13 +166,13 @@ let handle t ~src msg =
   | Message.Lc_read_reply { op; lc } -> deliver_reply t ~src ~op (`Lc lc)
   | Message.Iqs_write_ack { op; lc; _ } -> deliver_reply t ~src ~op (`Ack lc)
   | Message.Client_read_req { op; key } ->
-    if fresh_client_op t ~client:src ~op then
+    if Dq_util.Seen_ops.add_fresh t.seen_client_ops ~client:src ~op then
       read t ~key
         ~on_done:(fun ~value ~lc ->
           send t src (Message.Client_read_reply { op; key; value; lc }))
         ~on_fail:(fun () -> send t src (Message.Client_read_fail { op; key }))
   | Message.Client_write_req { op; key; value } ->
-    if fresh_client_op t ~client:src ~op then
+    if Dq_util.Seen_ops.add_fresh t.seen_client_ops ~client:src ~op then
       write t ~key ~value
         ~on_done:(fun ~lc -> send t src (Message.Client_write_reply { op; key; lc }))
         ~on_fail:(fun () -> send t src (Message.Client_write_fail { op; key }))
@@ -196,6 +186,6 @@ let handle t ~src msg =
 
 let on_recover t =
   t.pending <- Hashtbl.create 16;
-  t.seen_client_ops <- Hashtbl.create 16
+  t.seen_client_ops <- Dq_util.Seen_ops.create ()
 
 let pending_operations t = Hashtbl.length t.pending

@@ -168,6 +168,17 @@ let run_with_events engine topology (api : R.api) config ~events ~on_net_event =
                key = Dq_storage.Key.to_string op.Generator.key;
              });
       let settled = ref false in
+      (* The timeout timer holds only this cell, and settling the op
+         empties it. Otherwise the timer would keep the op's closures,
+         and through [issue_op] the whole history, reachable until it
+         fires, 30 virtual seconds on and for as long as the engine
+         lives at the end of a run. An emptied timer still fires, as a
+         no-op, so the event count does not change. *)
+      let timeout = ref ignore in
+      let settle () =
+        settled := true;
+        timeout := ignore
+      in
       let record_latency () =
         if client.done_ops >= config.warmup_ops then begin
           let latency = Engine.now engine -. start in
@@ -190,7 +201,7 @@ let run_with_events engine topology (api : R.api) config ~events ~on_net_event =
       in
       let on_timeout () =
         if not !settled then begin
-          settled := true;
+          settle ();
           incr failed;
           if subscribed () then
             Dq_telemetry.Bus.emit bus
@@ -199,7 +210,8 @@ let run_with_events engine topology (api : R.api) config ~events ~on_net_event =
           advance ()
         end
       in
-      ignore (Engine.schedule engine ~delay:config.timeout_ms on_timeout);
+      timeout := on_timeout;
+      ignore (Engine.schedule engine ~delay:config.timeout_ms (fun () -> !timeout ()));
       (* The protocol explicitly abandoned the operation (bounded
          retransmission exhausted): record it as failed immediately
          rather than leaving it to the timeout, so the history can tell
@@ -211,7 +223,7 @@ let run_with_events engine topology (api : R.api) config ~events ~on_net_event =
             (Dq_telemetry.Event.Op_give_up
                { op = id; client = client.node; kind = kind_str });
         if not !settled then begin
-          settled := true;
+          settle ();
           incr failed;
           incr gave_up;
           advance ()
@@ -247,7 +259,7 @@ let run_with_events engine topology (api : R.api) config ~events ~on_net_event =
                })
         end;
         if not !settled then begin
-          settled := true;
+          settle ();
           incr completed;
           record_latency ();
           advance ()

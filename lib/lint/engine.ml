@@ -683,18 +683,23 @@ let lint_cmt ?(root = "_build/default") cfg cmt_path =
 (* ------------------------------------------------------------------ *)
 (* Build-dir walking                                                   *)
 
-let rec walk_dir dir acc =
+(* The [.cmt] artifacts and the [.ml] sources under [dir], each in
+   reverse walk order; a source is returned relative to the build dir,
+   as a cmt records it. *)
+let rec walk_dir dir ~rel ((cmts, mls) as acc) =
   match Sys.readdir dir with
   | exception Sys_error _ -> acc
   | entries ->
     Array.sort String.compare entries;
     Array.fold_left
-      (fun acc name ->
+      (fun ((cmts, mls) as acc) name ->
         let path = Filename.concat dir name in
-        if Sys.is_directory path then walk_dir path acc
-        else if Filename.check_suffix name ".cmt" then path :: acc
+        let rel = if String.equal rel "" then name else rel ^ "/" ^ name in
+        if Sys.is_directory path then walk_dir path ~rel acc
+        else if Filename.check_suffix name ".cmt" then (path :: cmts, mls)
+        else if Filename.check_suffix name ".ml" then (cmts, rel :: mls)
         else acc)
-      acc entries
+      (cmts, mls) entries
 
 let path_selected paths src =
   match paths with
@@ -711,8 +716,16 @@ let path_selected paths src =
    and SARIF advertise it. *)
 let version = "2.1.0"
 
+(* A source some selected rule would read. *)
+let in_scope cfg paths src =
+  (not (excluded cfg src))
+  && path_selected paths src
+  && List.exists (fun (r : Rules.t) -> cfg.ignore_scopes || r.applies src) cfg.rules
+
 let lint_build_dir ?(paths = []) cfg build_dir =
-  let cmts = List.rev (walk_dir build_dir []) in
+  let cmts, mls = walk_dir build_dir ~rel:"" ([], []) in
+  let cmts = List.rev cmts in
+  let compiled = Hashtbl.create 128 in
   let seen = Hashtbl.create 128 in
   let diags = ref [] in
   let errors = ref [] in
@@ -721,6 +734,7 @@ let lint_build_dir ?(paths = []) cfg build_dir =
       match read_cmt cmt_path with
       | Error msg -> errors := msg :: !errors
       | Ok cmt -> (
+        Option.iter (fun src -> Hashtbl.replace compiled src ()) (source_of_cmt cmt);
         match lintable cfg cmt with
         | Some (src, str)
           when (not (Hashtbl.mem seen src)) && path_selected paths src ->
@@ -731,4 +745,15 @@ let lint_build_dir ?(paths = []) cfg build_dir =
           diags := run_file cfg src str @ !diags
         | _ -> ()))
     cmts;
-  (List.sort_uniq D.compare !diags, List.rev !errors, List.length cmts)
+  (* A source the build copied but whose cmt is gone would otherwise go
+     unread without a word: an incremental build deletes the cmts it no
+     longer declares as targets. *)
+  let missing =
+    List.rev mls
+    |> List.filter (fun src -> in_scope cfg paths src && not (Hashtbl.mem compiled src))
+    |> List.map (fun src ->
+           Printf.sprintf
+             "%s: no .cmt under %s (an incremental build drops them; lint a clean build)" src
+             build_dir)
+  in
+  (List.sort_uniq D.compare !diags, List.rev_append !errors missing, List.length cmts)

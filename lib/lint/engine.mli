@@ -44,7 +44,9 @@ val lint_build_dir :
     recursively for [.cmt] files in one serial pass and lints each
     compilation unit once (several executables may recompile the same
     source; the first cmt in walk order wins, so findings are not
-    duplicated). It returns the sorted diagnostics, the load errors (one
-    per [.cmt] that could not be read) and the number of [.cmt] files
-    walked. [paths] filters findings to files under the given
-    project-relative prefixes. *)
+    duplicated). It returns the sorted diagnostics, the load errors and
+    the number of [.cmt] files walked. There is one load error per
+    [.cmt] that could not be read, then one per [.ml] source under
+    [build_dir] that the config would lint but that no [.cmt] records
+    (what an incremental build leaves behind). [paths] filters findings
+    and sources to files under the given project-relative prefixes. *)

@@ -29,10 +29,7 @@ type t = {
   mutable next_op : int;
   mutable last_issued : Lc.t;
   mutable pending : (int, pending) Hashtbl.t;
-  mutable seen_client_ops : (int * int, unit) Hashtbl.t;
-      (* duplicate-suppression of client requests: the network may
-         duplicate a Client_write_req, and executing it twice would
-         issue two distinct writes for one client operation *)
+  mutable seen_client_ops : Dq_util.Seen_ops.t; (* duplicate suppression *)
 }
 
 let create ?read_strategy ?write_strategy ~net ~rng ~me ~style ~retry_timeout_ms () =
@@ -48,15 +45,8 @@ let create ?read_strategy ?write_strategy ~net ~rng ~me ~style ~retry_timeout_ms
     next_op = 0;
     last_issued = Lc.zero;
     pending = Hashtbl.create 16;
-    seen_client_ops = Hashtbl.create 16;
+    seen_client_ops = Dq_util.Seen_ops.create ();
   }
-
-let fresh_client_op t ~client ~op =
-  if Hashtbl.mem t.seen_client_ops (client, op) then false
-  else begin
-    Hashtbl.add t.seen_client_ops (client, op) ();
-    true
-  end
 
 let fresh_op t =
   let op = t.next_op in
@@ -234,11 +224,11 @@ let handle t ~src msg =
   | Base_msg.Write_ack { op; lc; _ } -> deliver t ~src ~op (`Ack lc)
   | Base_msg.Fwd_write_ack { op; lc; _ } -> deliver t ~src ~op (`Ack lc)
   | Base_msg.Client_read_req { op; key; floor } ->
-    if fresh_client_op t ~client:src ~op then
+    if Dq_util.Seen_ops.add_fresh t.seen_client_ops ~client:src ~op then
       read ~floor t ~key ~on_done:(fun ~value ~lc ->
           send t src (Base_msg.Client_read_reply { op; key; value; lc }))
   | Base_msg.Client_write_req { op; key; value } ->
-    if fresh_client_op t ~client:src ~op then
+    if Dq_util.Seen_ops.add_fresh t.seen_client_ops ~client:src ~op then
       write t ~key ~value ~on_done:(fun ~lc ->
           send t src (Base_msg.Client_write_reply { op; key; lc }))
   | Base_msg.Client_read_reply _ | Base_msg.Client_write_reply _ | Base_msg.Read_req _
@@ -249,4 +239,4 @@ let handle t ~src msg =
 
 let on_recover t =
   t.pending <- Hashtbl.create 16;
-  t.seen_client_ops <- Hashtbl.create 16
+  t.seen_client_ops <- Dq_util.Seen_ops.create ()

@@ -20,7 +20,10 @@
    current window however long the wheel goes without emptying.
 
    Slot buffers are grown-once flat arrays reused across drains, so a
-   schedule into the wheel allocates nothing in steady state. *)
+   schedule into the wheel allocates nothing in steady state. A slot
+   handed off (promoted or drained) resets its entries to [dummy]: the
+   buffer outlives the events, and must not keep a fired event (and
+   whatever its closure holds) reachable. *)
 
 type 'a slot = {
   mutable times : float array;
@@ -160,6 +163,7 @@ let promote t =
     let idx = Stdlib.min (l1_slots - 1) (Stdlib.max 0 idx) in
     slot_push t t.l1 idx ~time ~seq:s.seqs.(i) s.data.(i)
   done;
+  Array.fill s.data 0 s.len t.dummy;
   s.len <- 0
 
 (* Advance the boundary past the next non-empty slot, handing its
@@ -178,6 +182,7 @@ let advance t ~drain =
           drain ~time:s.times.(i) ~seq:s.seqs.(i) s.data.(i)
         done;
         t.count <- t.count - s.len;
+        Array.fill s.data 0 s.len t.dummy;
         s.len <- 0;
         drained := true
       end

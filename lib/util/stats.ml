@@ -1,5 +1,8 @@
+(* Samples are kept unboxed, in insertion order, in a buffer that
+   doubles when full: one word per sample, and [add] allocates nothing
+   in steady state. *)
 type t = {
-  mutable samples : float list; (* reverse insertion order *)
+  mutable samples : Float.Array.t; (* [0, n) in insertion order *)
   mutable n : int;
   mutable total : float;
   mutable total_sq : float;
@@ -9,10 +12,23 @@ type t = {
 }
 
 let create () =
-  { samples = []; n = 0; total = 0.; total_sq = 0.; lo = nan; hi = nan; sorted = None }
+  {
+    samples = Float.Array.create 0;
+    n = 0;
+    total = 0.;
+    total_sq = 0.;
+    lo = nan;
+    hi = nan;
+    sorted = None;
+  }
 
 let add t x =
-  t.samples <- x :: t.samples;
+  if t.n = Float.Array.length t.samples then begin
+    let grown = Float.Array.create (Stdlib.max 16 (2 * t.n)) in
+    Float.Array.blit t.samples 0 grown 0 t.n;
+    t.samples <- grown
+  end;
+  Float.Array.unsafe_set t.samples t.n x;
   t.n <- t.n + 1;
   t.total <- t.total +. x;
   t.total_sq <- t.total_sq +. (x *. x);
@@ -44,7 +60,10 @@ let sorted t =
   match t.sorted with
   | Some a -> a
   | None ->
-    let a = Array.of_list t.samples in
+    (* Sorted from newest to oldest, the order the samples were once
+       kept in: [Array.sort] is not stable, and equal-comparing samples
+       ([0.] and [-0.]) must land where they always did. *)
+    let a = Array.init t.n (fun i -> Float.Array.get t.samples (t.n - 1 - i)) in
     Array.sort Float.compare a;
     t.sorted <- Some a;
     a
@@ -66,12 +85,17 @@ let percentile t p =
 
 let median t = percentile t 50.
 
-let to_list t = List.rev t.samples
+let to_list t = List.init t.n (Float.Array.get t.samples)
 
 let merge a b =
   let t = create () in
-  List.iter (add t) (to_list a);
-  List.iter (add t) (to_list b);
+  let add_all src =
+    for i = 0 to src.n - 1 do
+      add t (Float.Array.get src.samples i)
+    done
+  in
+  add_all a;
+  add_all b;
   t
 
 let pp_summary ppf t =

@@ -77,6 +77,30 @@ let test_partition_event_applied () =
   Alcotest.(check bool) "some failures during partition" true (r.Driver.failed > 0);
   Alcotest.(check bool) "recovered afterwards" true (r.Driver.completed > 0)
 
+(* Once a run has returned, the driver holds nothing of it: each op's
+   timeout, still queued in the engine 30 virtual seconds out, must not
+   keep the op's state, or through it the history, reachable. The run is
+   made in a separate function, so no local root of the test holds the
+   result. *)
+let[@inline never] run_and_watch_one_op ~weak builder =
+  let engine = Engine.create ~seed:11L () in
+  let topology = Topology.make ~n_servers:5 ~n_clients:3 () in
+  let instance = builder.Registry.build engine topology () in
+  let config = { (Driver.default_config Spec.default) with Driver.ops_per_client = 20 } in
+  let r = Driver.run engine topology instance.Registry.api config in
+  (match r.Driver.history with
+  | op :: _ -> Weak.set weak 0 (Some op)
+  | [] -> Alcotest.fail "empty history");
+  (engine, instance)
+
+let test_result_not_retained builder () =
+  let weak = Weak.create 1 in
+  let engine, instance = run_and_watch_one_op ~weak builder in
+  Alcotest.(check bool) "timeouts still queued" true (Engine.pending_events engine > 0);
+  Gc.full_major ();
+  Alcotest.(check bool) "op record collected" false (Weak.check weak 0);
+  ignore (Sys.opaque_identity (engine, instance))
+
 let () =
   Alcotest.run "driver"
     [
@@ -90,5 +114,9 @@ let () =
           Alcotest.test_case "think time" `Quick test_think_time_spreads_requests;
           Alcotest.test_case "deterministic" `Quick test_deterministic;
           Alcotest.test_case "partition event" `Quick test_partition_event_applied;
+          Alcotest.test_case "result not retained (majority)" `Quick
+            (test_result_not_retained Registry.majority);
+          Alcotest.test_case "result not retained (dqvl)" `Quick
+            (test_result_not_retained (Registry.dqvl ()));
         ] );
     ]

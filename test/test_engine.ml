@@ -73,6 +73,23 @@ let test_cancel_releases_closure () =
   Alcotest.(check int) "events executed" 1 (Engine.events_executed e);
   Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e)
 
+(* A fired event must not stay reachable from the wheel slots it
+   passed through. At 1 000 ms out, the event sits in a level-2 slot,
+   is promoted into a level-1 slot, and is drained into the heap. *)
+let test_fired_event_released () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  ignore (schedule_watched e ~weak);
+  Engine.run ~until:1500. e;
+  Alcotest.(check int) "fired" 1 (Engine.events_executed e);
+  Gc.full_major ();
+  Alcotest.(check bool) "captured value collected once fired" false (Weak.check weak 0);
+  (* the engine is still live, and still usable *)
+  let fired = ref false in
+  ignore (Engine.schedule e ~delay:1. (fun () -> fired := true));
+  Engine.run e;
+  Alcotest.(check bool) "engine still runs" true !fired
+
 let test_cancel_idempotent () =
   let e = Engine.create () in
   let handle = Engine.schedule e ~delay:1. (fun () -> ()) in
@@ -195,6 +212,7 @@ let () =
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "cancel idempotent" `Quick test_cancel_idempotent;
           Alcotest.test_case "cancel releases closure" `Quick test_cancel_releases_closure;
+          Alcotest.test_case "fired event released" `Quick test_fired_event_released;
           Alcotest.test_case "pending count" `Quick test_pending_count;
           Alcotest.test_case "run until" `Quick test_run_until;
           Alcotest.test_case "run until with cancelled head" `Quick

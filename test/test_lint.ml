@@ -337,6 +337,42 @@ let test_build_dir_walk () =
       | _ -> Alcotest.failf "expected one load error, got %d" (List.length errors));
       Alcotest.(check int) "cmts walked" 4 cmts)
 
+(* A build dir holding a copied source whose cmt is gone, as an
+   incremental build leaves one: the walk must say so, not read less.
+   The fixture cmt records [test/lint_fixtures/r6_bad.ml], so that
+   source, also present, is compiled and not reported. *)
+let test_source_without_cmt () =
+  let dir = "lint_missing_probe" in
+  let fixtures = Filename.concat dir "test/lint_fixtures" in
+  let rec mkdirs d =
+    if not (Sys.file_exists d) then begin
+      mkdirs (Filename.dirname d);
+      Sys.mkdir d 0o755
+    end
+  in
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists dir then remove dir)
+    (fun () ->
+      mkdirs fixtures;
+      write_file (Filename.concat dir "a.cmt") (read_file "lint_fixtures/r6_bad.cmt");
+      write_file (Filename.concat fixtures "r6_bad.ml") "";
+      write_file (Filename.concat fixtures "orphan.ml") "";
+      let ds, errors, cmts = Engine.lint_build_dir fixture_cfg dir in
+      Alcotest.(check (list string)) "the compiled source is still linted" [ "R6"; "R6" ] (ids ds);
+      Alcotest.(check int) "cmts walked" 1 cmts;
+      match errors with
+      | [ e ] ->
+        Alcotest.(check bool) "load error names the source" true
+          (contains e "test/lint_fixtures/orphan.ml")
+      | _ -> Alcotest.failf "expected one load error, got %d" (List.length errors))
+
 (* ------------------------------------------------------------------ *)
 (* Rule registry                                                       *)
 
@@ -387,5 +423,8 @@ let () =
           Alcotest.test_case "rule registry" `Quick test_rule_registry;
         ] );
       ( "engine",
-        [ Alcotest.test_case "build-dir walk" `Quick test_build_dir_walk ] );
+        [
+          Alcotest.test_case "build-dir walk" `Quick test_build_dir_walk;
+          Alcotest.test_case "source without cmt" `Quick test_source_without_cmt;
+        ] );
     ]

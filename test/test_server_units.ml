@@ -271,6 +271,114 @@ let test_oqs_expired_volume_blocks_validity () =
   Engine.run w.engine;
   Alcotest.(check bool) "expired later" false (Oqs.volume_valid_from oqs ~volume:0 ~iqs:1)
 
+(* --- Front ends: duplicate client requests ------------------------------ *)
+
+(* The network may duplicate a client request; a front end must run each
+   client operation once. Both front-end families are driven through the
+   same four cases. [started ()] counts the client operations the front
+   end has set running (for the DQVL front end, since its last
+   recovery). The application client is node 3. *)
+type front_end = {
+  write_req : src:int -> op:int -> unit;
+  read_req : src:int -> op:int -> unit;
+  started : unit -> int;
+  recover : unit -> unit;
+}
+
+let client = 3
+
+let dqvl_front_end () =
+  let w = make_world () in
+  let fe =
+    Dq_core.Frontend.create ~net:w.net ~config:w.config ~rng:(Engine.split_rng w.engine) ~me:0
+  in
+  {
+    write_req =
+      (fun ~src ~op ->
+        Dq_core.Frontend.handle fe ~src (M.Client_write_req { op; key; value = "v" }));
+    read_req = (fun ~src ~op -> Dq_core.Frontend.handle fe ~src (M.Client_read_req { op; key }));
+    started = (fun () -> Dq_core.Frontend.pending_operations fe);
+    recover = (fun () -> Dq_core.Frontend.on_recover fe);
+  }
+
+(* A primary/backup front end forwards each operation it starts to the
+   primary (node 1) exactly once: retransmission is far off. *)
+let base_front_end () =
+  let module BM = Dq_proto.Base_msg in
+  let module Fe = Dq_proto.Base_frontend in
+  let engine = Engine.create ~seed:3L () in
+  let topology = Topology.make ~n_servers:3 ~n_clients:1 () in
+  let net = Net.create engine topology ~classify:BM.classify () in
+  let forwarded = ref 0 in
+  Net.register net ~node:1 (fun ~src:_ msg ->
+      match msg with BM.Fwd_write_req _ | BM.Read_req _ -> incr forwarded | _ -> ());
+  let fe =
+    Fe.create ~net ~rng:(Engine.split_rng engine) ~me:0 ~style:(Fe.Forward { primary = 1 })
+      ~retry_timeout_ms:1e9 ()
+  in
+  {
+    write_req = (fun ~src ~op -> Fe.handle fe ~src (BM.Client_write_req { op; key; value = "v" }));
+    read_req =
+      (fun ~src ~op -> Fe.handle fe ~src (BM.Client_read_req { op; key; floor = Lc.zero }));
+    started =
+      (fun () ->
+        Engine.run ~until:(Engine.now engine +. 1_000.) engine;
+        !forwarded);
+    recover = (fun () -> Fe.on_recover fe);
+  }
+
+let test_duplicate_write_runs_once make () =
+  let fe = make () in
+  fe.write_req ~src:client ~op:0;
+  fe.write_req ~src:client ~op:0;
+  Alcotest.(check int) "one write started" 1 (fe.started ());
+  fe.read_req ~src:client ~op:0;
+  Alcotest.(check int) "a read under the same op id is a duplicate too" 1 (fe.started ());
+  fe.write_req ~src:1 ~op:0;
+  Alcotest.(check int) "another client's op 0 is fresh" 2 (fe.started ())
+
+let test_out_of_order_ops_fresh make () =
+  let fe = make () in
+  fe.write_req ~src:client ~op:5;
+  fe.read_req ~src:client ~op:4;
+  Alcotest.(check int) "5 then 4: both fresh" 2 (fe.started ());
+  fe.write_req ~src:client ~op:5;
+  fe.read_req ~src:client ~op:4;
+  Alcotest.(check int) "repeats of both suppressed" 2 (fe.started ())
+
+let test_op_past_bitset_grows make () =
+  let fe = make () in
+  fe.read_req ~src:client ~op:3;
+  fe.read_req ~src:client ~op:100_000;
+  Alcotest.(check int) "far op id fresh" 2 (fe.started ());
+  fe.read_req ~src:client ~op:100_000;
+  fe.read_req ~src:client ~op:3;
+  Alcotest.(check int) "both remembered after growth" 2 (fe.started ());
+  fe.read_req ~src:client ~op:99_999;
+  Alcotest.(check int) "its neighbour is still fresh" 3 (fe.started ())
+
+let test_recover_forgets make () =
+  let fe = make () in
+  fe.write_req ~src:client ~op:0;
+  fe.read_req ~src:client ~op:7;
+  Alcotest.(check int) "two started" 2 (fe.started ());
+  fe.recover ();
+  let before = fe.started () in
+  fe.write_req ~src:client ~op:0;
+  fe.read_req ~src:client ~op:7;
+  Alcotest.(check int) "both fresh after recovery" (before + 2) (fe.started ());
+  fe.write_req ~src:client ~op:0;
+  Alcotest.(check int) "and remembered again" (before + 2) (fe.started ())
+
+let duplicate_cases name make =
+  ( name,
+    [
+      Alcotest.test_case "duplicate write runs once" `Quick (test_duplicate_write_runs_once make);
+      Alcotest.test_case "out-of-order ops fresh" `Quick (test_out_of_order_ops_fresh make);
+      Alcotest.test_case "op past bitset grows it" `Quick (test_op_past_bitset_grows make);
+      Alcotest.test_case "recovery forgets" `Quick (test_recover_forgets make);
+    ] )
+
 let () =
   Alcotest.run "server_units"
     [
@@ -292,4 +400,6 @@ let () =
           Alcotest.test_case "epoch mismatch" `Quick test_oqs_epoch_mismatch_invalidates;
           Alcotest.test_case "volume expiry" `Quick test_oqs_expired_volume_blocks_validity;
         ] );
+      duplicate_cases "dqvl front end duplicates" dqvl_front_end;
+      duplicate_cases "base front end duplicates" base_front_end;
     ]

@@ -83,6 +83,95 @@ let prop_percentile_monotone =
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
       Stats.percentile s lo <= Stats.percentile s hi +. 1e-9)
 
+(* The list-based definition the unboxed sample buffer replaced:
+   samples as a list in insertion order, sums accumulated in that
+   order, percentiles over the samples sorted newest first. *)
+module Model = struct
+  let count = List.length
+
+  let sum xs = List.fold_left ( +. ) 0. xs
+
+  let mean = function [] -> nan | xs -> sum xs /. float_of_int (count xs)
+
+  let stddev xs =
+    if count xs < 2 then 0.
+    else
+      let n = float_of_int (count xs) in
+      let total = sum xs in
+      let total_sq = List.fold_left (fun acc x -> acc +. (x *. x)) 0. xs in
+      sqrt (Float.max 0. ((total_sq -. (total *. total /. n)) /. (n -. 1.)))
+
+  let extreme better = function
+    | [] -> nan
+    | x :: rest -> List.fold_left (fun acc y -> if better y acc then y else acc) x rest
+
+  let min = extreme ( < )
+  let max = extreme ( > )
+
+  let percentile xs p =
+    match xs with
+    | [] -> nan
+    | _ :: _ ->
+      let a = Array.of_list (List.rev xs) in
+      Array.sort Float.compare a;
+      let n = Array.length a in
+      if n = 1 then a.(0)
+      else
+        let rank = p /. 100. *. float_of_int (n - 1) in
+        let lo_idx = int_of_float (Float.floor rank) in
+        let hi_idx = Stdlib.min (lo_idx + 1) (n - 1) in
+        let frac = rank -. float_of_int lo_idx in
+        (a.(lo_idx) *. (1. -. frac)) +. (a.(hi_idx) *. frac)
+end
+
+(* Bit-identical, except that any two NaNs agree. *)
+let same_bits a b =
+  (Float.is_nan a && Float.is_nan b) || Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let matches_model s xs =
+  List.equal same_bits (Stats.to_list s) xs
+  && Stats.count s = Model.count xs
+  && same_bits (Stats.sum s) (Model.sum xs)
+  && same_bits (Stats.mean s) (Model.mean xs)
+  && same_bits (Stats.stddev s) (Model.stddev xs)
+  && same_bits (Stats.min s) (Model.min xs)
+  && same_bits (Stats.max s) (Model.max xs)
+  && List.for_all
+       (fun p -> same_bits (Stats.percentile s p) (Model.percentile xs p))
+       [ 0.; 50.; 99.; 100. ]
+
+(* Samples from a small pool (so duplicates and both zeros are common),
+   the finite extremes, and a wide range. Lengths include 0 and 1. *)
+let sample_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ 0.; -0.; 1.; 2.; 2.5; 1000. ]);
+        ( 1,
+          oneofl
+            [
+              Float.max_float; -.Float.max_float; Float.min_float; -.Float.min_float; Float.epsilon;
+            ] );
+        (4, float_range (-1e9) 1e9);
+      ])
+
+let samples_arb =
+  QCheck.make ~print:QCheck.Print.(list float)
+    QCheck.Gen.(
+      frequency
+        [
+          (1, return []);
+          (1, map (fun x -> [ x ]) sample_gen);
+          (8, list_size (int_range 0 80) sample_gen);
+        ])
+
+let prop_matches_list_model =
+  QCheck.Test.make ~name:"stats equal the list-based definition, bit for bit" ~count:500
+    (QCheck.pair samples_arb samples_arb)
+    (fun (xs, ys) ->
+      let a = feed xs and b = feed ys in
+      matches_model a xs && matches_model b ys && matches_model (Stats.merge a b) (xs @ ys))
+
 let () =
   Alcotest.run "stats"
     [
@@ -100,5 +189,5 @@ let () =
         ] );
       ( "property",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_mean_within_bounds; prop_percentile_monotone ] );
+          [ prop_mean_within_bounds; prop_percentile_monotone; prop_matches_list_model ] );
     ]

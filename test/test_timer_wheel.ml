@@ -73,6 +73,30 @@ let test_rolling_horizon () =
   Alcotest.(check bool) "horizon a full ring ahead" true
     (W.horizon w >= W.boundary w +. 65_000.)
 
+(* Promoting or draining a slot hands its entries off; the slot's
+   buffer is reused, so it must drop them, or the wheel keeps every
+   event it ever held reachable. The watched block is allocated in a
+   separate function so no local root of the test holds it. *)
+let[@inline never] add_watched w ~weak ~time =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  ignore (W.add w ~time ~seq:0 payload)
+
+let test_handoff_releases_entries () =
+  let w = W.create ~dummy:Bytes.empty () in
+  let weak = Weak.create 1 in
+  (* past the level-1 rotation: promoted, then drained *)
+  add_watched w ~weak ~time:1000.5;
+  let drained = ref 0 in
+  while W.length w > 0 do
+    W.advance w ~drain:(fun ~time:_ ~seq:_ _ -> incr drained)
+  done;
+  Alcotest.(check int) "drained once" 1 !drained;
+  Gc.full_major ();
+  Alcotest.(check bool) "handed-off entry collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "wheel still accepts" true
+    (W.add w ~time:(W.boundary w +. 1.) ~seq:1 Bytes.empty)
+
 (* {2 Engine-level behaviour (wheel + heap together)} *)
 
 let fire_order ~schedule =
@@ -234,6 +258,7 @@ let () =
           Alcotest.test_case "level-2 promotion" `Quick test_level2_promotion;
           Alcotest.test_case "rebase" `Quick test_rebase;
           Alcotest.test_case "rolling horizon" `Quick test_rolling_horizon;
+          Alcotest.test_case "handoff releases entries" `Quick test_handoff_releases_entries;
         ] );
       ( "engine",
         [
