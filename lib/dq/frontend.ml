@@ -115,8 +115,9 @@ let write t ~key ~value ~on_done ~on_fail =
            {
              src = "dq.frontend";
              msg =
-               Format.asprintf "node %d: write %a assigned lc=%a" t.me Key.pp key Lc.pp
-                 wlc;
+               lazy
+                 (Format.asprintf "node %d: write %a assigned lc=%a" t.me Key.pp key
+                    Lc.pp wlc);
            });
     t.last_issued <- wlc;
     let op2 = fresh_op t in

@@ -145,9 +145,10 @@ let now t = Clock.now t.clock
    peer [j] cover logical clock [wlc]. *)
 let delayed_covers vp key wlc =
   Lc.(vp.barrier >= wlc)
-  || match Hashtbl.find_opt vp.delayed key with
-     | Some lc -> Lc.(lc >= wlc)
-     | None -> false
+  ||
+  match Hashtbl.find vp.delayed key with
+  | lc -> Lc.(lc >= wlc)
+  | exception Not_found -> false
 
 let enqueue_delayed t vp ~peer ~volume key wlc =
   let lc =
@@ -178,33 +179,35 @@ let enqueue_delayed t vp ~peer ~volume key wlc =
 (* With finite object leases, a peer whose lease on [key] has lapsed
    (or was never granted) cannot serve the object at all - no
    invalidation of any kind is needed (paper footnote 4). *)
-let object_lease_lapsed t o j =
+let object_lease_lapsed t o j ~now =
   match t.config.object_lease_ms with
   | None -> false
-  | Some _ -> j >= Array.length o.grants || now t > o.grants.(j)
+  | Some _ -> j >= Array.length o.grants || now > o.grants.(j)
 
 (* [o] is [key]'s state and [peers] its volume's lease state (empty
-   without volume leases), both looked up once by the caller. *)
-let peer_settled t o peers ~key ~wlc j =
+   without volume leases), both looked up once by the caller, as is
+   [now], the local clock: virtual time stands still within a handler,
+   so one read serves every peer. *)
+let peer_settled t o peers ~now ~key ~wlc j =
   let ack = ack_of o j in
   Lc.(ack > o.last_read) (* suppress: no valid callback at j *)
   || Lc.(ack >= wlc) (* j acknowledged this (or a newer) invalidation *)
-  || object_lease_lapsed t o j
+  || object_lease_lapsed t o j ~now
   || t.config.use_volume_leases
      &&
      let vp = peer_in peers j in
-     now t > vp.expires
-     && begin
-          if not (delayed_covers vp key wlc) then
-            enqueue_delayed t vp ~peer:j ~volume:(Key.volume key) key wlc;
-          delayed_covers vp key wlc
-        end
+     now > vp.expires
+     && (delayed_covers vp key wlc
+        || begin
+             enqueue_delayed t vp ~peer:j ~volume:(Key.volume key) key wlc;
+             delayed_covers vp key wlc
+           end)
 
 let key_peers t key = if t.config.use_volume_leases then vol_peers t (Key.volume key) else [||]
 
 let owq_invalid t ~key ~wlc =
-  let o = obj t key and peers = key_peers t key in
-  Qs.is_write_quorum t.config.oqs ~present:(peer_settled t o peers ~key ~wlc)
+  let o = obj t key and peers = key_peers t key and now = now t in
+  Qs.is_write_quorum t.config.oqs ~present:(peer_settled t o peers ~now ~key ~wlc)
 
 let register_loop t key loop =
   match Hashtbl.find_opt t.loops key with
@@ -231,17 +234,17 @@ let ensure_owq_invalid t ~key ~wlc ~on_done =
     match !loop_cell with Some loop -> Dq_rpc.Retry.poke loop | None -> ()
   in
   let attempt ~round:_ =
-    let o = obj t key and peers = key_peers t key in
+    let o = obj t key and peers = key_peers t key and now = now t in
     let inval_lc = Lc.max wlc o.value.lc in
     let visit j =
-      if not (peer_settled t o peers ~key ~wlc j) then begin
+      if not (peer_settled t o peers ~now ~key ~wlc j) then begin
         send t j (Message.Inval { key; lc = inval_lc });
         (* If j's lease expires before it acknowledges (e.g. j crashed),
            re-evaluate right after expiry so the write blocks for at
            most the lease duration. *)
         if t.config.use_volume_leases then begin
           let vp = peer_in peers j in
-          if vp.expires > now t then begin
+          if vp.expires > now then begin
             let delay_ms = Clock.delay_until t.clock vp.expires +. 1. in
             ignore (Net.timer t.net ~node:t.me ~delay_ms poke_self)
           end
@@ -600,7 +603,7 @@ let lease_valid_for t ~volume ~oqs =
    object lease). *)
 let callback_possible t key ~oqs =
   let o = obj t key in
-  (not Lc.(ack_of o oqs > o.last_read)) && not (object_lease_lapsed t o oqs)
+  (not Lc.(ack_of o oqs > o.last_read)) && not (object_lease_lapsed t o oqs ~now:(now t))
 
 let active_write_loops t =
   Hashtbl.fold (fun _ loops acc -> acc + List.length !loops) t.loops 0

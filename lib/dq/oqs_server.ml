@@ -163,8 +163,9 @@ let apply_inval t ~iqs ~key ~lc =
            {
              src = "dq.oqs";
              msg =
-               Format.asprintf "node %d: %a invalidated by %d at lc=%a" t.me Key.pp key
-                 iqs Lc.pp lc;
+               lazy
+                 (Format.asprintf "node %d: %a invalidated by %d at lc=%a" t.me Key.pp key
+                    iqs Lc.pp lc);
            });
     o.lc <- lc;
     o.valid <- false

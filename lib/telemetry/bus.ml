@@ -14,11 +14,14 @@ let clear t = t.sinks <- []
    fast-path guard every publisher runs. *)
 let subscribed t = match t.sinks with [] -> false | _ :: _ -> true
 
-let emit t ev =
-  match t.sinks with
+(* A top-level walk, so emitting allocates no closure per event. *)
+let rec deliver ~time_ms ev = function
   | [] -> ()
-  | sinks ->
-    let time_ms = t.now () in
-    List.iter (fun f -> f ~time_ms ev) sinks
+  | sink :: rest ->
+    sink ~time_ms ev;
+    deliver ~time_ms ev rest
+
+let emit t ev =
+  match t.sinks with [] -> () | sinks -> deliver ~time_ms:(t.now ()) ev sinks
 
 let null = create ()

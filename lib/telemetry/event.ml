@@ -41,38 +41,80 @@ type t =
   | Clock_skew of { node : int; skew : float }
   | Span_begin of { name : string; node : int }
   | Span_end of { name : string; node : int }
-  | Note of { src : string; msg : string }
+  | Note of { src : string; msg : string Lazy.t }
 
-let name = function
-  | Msg_sent _ -> "msg_sent"
-  | Msg_delivered _ -> "msg_delivered"
-  | Msg_dropped _ -> "msg_dropped"
-  | Op_start _ -> "op_start"
-  | Op_complete _ -> "op_complete"
-  | Op_served _ -> "op_served"
-  | Op_timeout _ -> "op_timeout"
-  | Op_give_up _ -> "op_give_up"
-  | Lease_granted _ -> "lease_granted"
-  | Lease_expired _ -> "lease_expired"
-  | Inval_through _ -> "inval_through"
-  | Inval_suppressed _ -> "inval_suppressed"
-  | Inval_delayed _ -> "inval_delayed"
-  | Epoch_advance _ -> "epoch_advance"
-  | Cache_read { hit; _ } -> if hit then "read_hit" else "read_miss"
-  | Rpc_round _ -> "rpc_round"
-  | Rpc_give_up _ -> "rpc_give_up"
-  | Link_cut _ -> "link_cut"
-  | Link_uncut _ -> "link_uncut"
-  | Node_crash _ -> "node_crash"
-  | Node_wipe _ -> "node_wipe"
-  | Node_recover _ -> "node_recover"
-  | Recovery_start _ -> "recovery_start"
-  | Recovery_done _ -> "recovery_done"
-  | Fault_injected _ -> "fault_injected"
-  | Clock_skew _ -> "clock_skew"
-  | Span_begin _ -> "span_begin"
-  | Span_end _ -> "span_end"
-  | Note _ -> "note"
+(* Kind slugs, indexed by [kind]: the one list of names, read by [name]
+   and by sinks that count events in an array. *)
+let kind_names =
+  [|
+    "msg_sent";
+    "msg_delivered";
+    "msg_dropped";
+    "op_start";
+    "op_complete";
+    "op_served";
+    "op_timeout";
+    "op_give_up";
+    "lease_granted";
+    "lease_expired";
+    "inval_through";
+    "inval_suppressed";
+    "inval_delayed";
+    "epoch_advance";
+    "read_hit";
+    "read_miss";
+    "rpc_round";
+    "rpc_give_up";
+    "link_cut";
+    "link_uncut";
+    "node_crash";
+    "node_wipe";
+    "node_recover";
+    "recovery_start";
+    "recovery_done";
+    "fault_injected";
+    "clock_skew";
+    "span_begin";
+    "span_end";
+    "note";
+  |]
+
+let kinds = Array.length kind_names
+
+let kind = function
+  | Msg_sent _ -> 0
+  | Msg_delivered _ -> 1
+  | Msg_dropped _ -> 2
+  | Op_start _ -> 3
+  | Op_complete _ -> 4
+  | Op_served _ -> 5
+  | Op_timeout _ -> 6
+  | Op_give_up _ -> 7
+  | Lease_granted _ -> 8
+  | Lease_expired _ -> 9
+  | Inval_through _ -> 10
+  | Inval_suppressed _ -> 11
+  | Inval_delayed _ -> 12
+  | Epoch_advance _ -> 13
+  | Cache_read { hit; _ } -> if hit then 14 else 15
+  | Rpc_round _ -> 16
+  | Rpc_give_up _ -> 17
+  | Link_cut _ -> 18
+  | Link_uncut _ -> 19
+  | Node_crash _ -> 20
+  | Node_wipe _ -> 21
+  | Node_recover _ -> 22
+  | Recovery_start _ -> 23
+  | Recovery_done _ -> 24
+  | Fault_injected _ -> 25
+  | Clock_skew _ -> 26
+  | Span_begin _ -> 27
+  | Span_end _ -> 28
+  | Note _ -> 29
+
+let kind_name k = kind_names.(k)
+
+let name ev = kind_names.(kind ev)
 
 let cat = function
   | Msg_sent _ | Msg_delivered _ | Msg_dropped _ -> "msg"
@@ -170,4 +212,4 @@ let pp ppf = function
   | Clock_skew { node; skew } -> Format.fprintf ppf "node %d: clock skew -> %.2e" node skew
   | Span_begin { name; node } -> Format.fprintf ppf "node %d: %s begin" node name
   | Span_end { name; node } -> Format.fprintf ppf "node %d: %s end" node name
-  | Note { src; msg } -> Format.fprintf ppf "[%s] %s" src msg
+  | Note { src; msg } -> Format.fprintf ppf "[%s] %s" src (Lazy.force msg)

@@ -3,7 +3,8 @@
     One variant per observable fact in the system, spanning every layer:
     network messages, client operations, leases and invalidations (the
     dual-quorum protocol core), QRPC retry rounds, injected faults, and
-    simulator-level happenings. Events carry plain scalars only —
+    simulator-level happenings. Events carry plain scalars only, except
+    a [Note]'s text, which is a suspension rendered on demand —
     constructing one allocates a small record and nothing else, and
     callers must only construct events behind a {!Bus.subscribed}
     check so the no-sink path stays allocation-free. *)
@@ -63,10 +64,24 @@ type t =
   | Clock_skew of { node : int; skew : float }
   | Span_begin of { name : string; node : int }
   | Span_end of { name : string; node : int }
-  | Note of { src : string; msg : string }
+  | Note of { src : string; msg : string Lazy.t }
+      (** Free-form protocol commentary. [msg] is rendered only when a
+          printing sink ({!pp}, [Trace]) forces it, so a bus whose sinks
+          only count or aggregate never formats the text. A bus belongs
+          to one run on one domain, so forcing never races. *)
+val kinds : int
+(** The number of event kinds. *)
+
+val kind : t -> int
+(** Dense kind index in [\[0, kinds)], one per constructor except
+    [Cache_read], whose hit and miss are two kinds. Sinks that count by
+    kind index an array with it instead of hashing {!name}. *)
+
+val kind_name : int -> string
+(** The kind's stable snake_case slug. *)
 
 val name : t -> string
-(** Stable snake_case kind slug, used as the metrics counter key. *)
+(** [kind_name (kind ev)]: the slug, used as the metrics counter key. *)
 
 val cat : t -> string
 (** Coarse category (["msg"], ["op"], ["lease"], ["inval"], ["cache"],

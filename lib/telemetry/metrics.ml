@@ -8,60 +8,47 @@ let latency_buckets = [ 1.; 2.; 5.; 10.; 20.; 50.; 100.; 200.; 500.; 1000. ]
    label needs. *)
 type cell = { mutable c_remote : int; mutable c_local : int; mutable c_bytes : int }
 
-(* Counters by name. Message labels and event names are string
-   literals, so a physical-equality scan over the names in the order
-   they first appeared finds a counter without hashing the string; a
-   name not seen in that form falls back to the table. The table alone
-   is the contents: the scan list only holds each name's first copy. *)
-type 'a named = { by_name : (string, 'a) Hashtbl.t; mutable first_seen : (string * 'a) list }
+(* Cells by label. Message labels are string literals, so a
+   physical-equality scan over the labels in the order they first
+   appeared finds a cell without hashing the string; a label not seen
+   in that form falls back to the table. The table alone is the
+   contents: the scan list only holds each label's first copy. *)
+type labels = { by_name : (string, cell) Hashtbl.t; mutable first_seen : (string * cell) list }
 
 type t = {
   mutable remote : int;
   mutable local : int;
   mutable bytes : int;
-  labels : cell named;
-  events : int ref named;
+  labels : labels;
+  events : int array; (* by [Event.kind] *)
   read_latency : Histogram.t;
   write_latency : Histogram.t;
 }
-
-let named size = { by_name = Hashtbl.create size; first_seen = [] }
 
 let create () =
   {
     remote = 0;
     local = 0;
     bytes = 0;
-    labels = named 16;
-    events = named 32;
+    labels = { by_name = Hashtbl.create 16; first_seen = [] };
+    events = Array.make Event.kinds 0;
     read_latency = Histogram.create ~buckets:latency_buckets;
     write_latency = Histogram.create ~buckets:latency_buckets;
   }
 
-let lookup named name ~fresh =
-  let rec scan = function
-    | (seen, v) :: rest -> if seen == name then v else scan rest
-    | [] -> (
-      match Hashtbl.find_opt named.by_name name with
-      | Some v -> v
-      | None ->
-        let v = fresh () in
-        Hashtbl.add named.by_name name v;
-        named.first_seen <- named.first_seen @ [ (name, v) ];
-        v)
-  in
-  scan named.first_seen
-
-let reset_named named =
-  Hashtbl.reset named.by_name;
-  named.first_seen <- []
-
-let bump named name = incr (lookup named name ~fresh:(fun () -> ref 0))
-
-let fresh_cell () = { c_remote = 0; c_local = 0; c_bytes = 0 }
+let rec scan labels label = function
+  | (seen, c) :: rest -> if seen == label then c else scan labels label rest
+  | [] -> (
+    match Hashtbl.find_opt labels.by_name label with
+    | Some c -> c
+    | None ->
+      let c = { c_remote = 0; c_local = 0; c_bytes = 0 } in
+      Hashtbl.add labels.by_name label c;
+      labels.first_seen <- labels.first_seen @ [ (label, c) ];
+      c)
 
 let record_msg t ~label ~local ?(bytes = 0) () =
-  let c = lookup t.labels label ~fresh:fresh_cell in
+  let c = scan t.labels label t.labels.first_seen in
   if local then begin
     t.local <- t.local + 1;
     c.c_local <- c.c_local + 1
@@ -86,10 +73,6 @@ let remote_total t = t.remote
 let local_total t = t.local
 
 let remote_bytes t = t.bytes
-
-let sorted named =
-  Hashtbl.fold (fun label r acc -> (label, !r) :: acc) named.by_name []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* Project one counter out of the label cells, dropping labels the
    counter never saw (a label with only local deliveries must not show
@@ -116,10 +99,20 @@ let bytes_by_label t =
     t.labels.by_name []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let event_counts t = sorted t.events
+let event_counts t =
+  let seen = ref [] in
+  Array.iteri
+    (fun k n -> if n > 0 then seen := (Event.kind_name k, n) :: !seen)
+    t.events;
+  List.sort (fun (a, _) (b, _) -> String.compare a b) !seen
 
 let event_count t name =
-  match Hashtbl.find_opt t.events.by_name name with Some r -> !r | None -> 0
+  let rec find k =
+    if k = Event.kinds then 0
+    else if String.equal (Event.kind_name k) name then t.events.(k)
+    else find (k + 1)
+  in
+  find 0
 
 let read_latency t = t.read_latency
 
@@ -129,15 +122,17 @@ let reset t =
   t.remote <- 0;
   t.local <- 0;
   t.bytes <- 0;
-  reset_named t.labels;
-  reset_named t.events
+  Hashtbl.reset t.labels.by_name;
+  t.labels.first_seen <- [];
+  Array.fill t.events 0 Event.kinds 0
 
-(* The bus-facing aggregator: counts every event by kind, mirrors
+(* The bus-facing aggregator: counts every event by kind index, mirrors
    message accounting, and feeds operation latencies into the
    histograms. *)
 let sink t : Bus.sink =
  fun ~time_ms:_ ev ->
-  bump t.events (Event.name ev);
+  let k = Event.kind ev in
+  t.events.(k) <- t.events.(k) + 1;
   match ev with
   | Event.Msg_sent { label; bytes; local; _ } -> record_msg t ~label ~local ~bytes ()
   | Event.Op_complete { kind; latency_ms; _ } -> record_latency t ~kind latency_ms

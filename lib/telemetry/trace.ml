@@ -90,7 +90,7 @@ let name_and_args (ev : Event.t) =
   | Span_begin { name; node } -> (J.escape name, sprintf {|{"node":%d}|} node)
   | Span_end { name; node } -> (J.escape name, sprintf {|{"node":%d}|} node)
   | Note { src; msg } ->
-    (sprintf "note %s" (J.escape src), sprintf {|{"msg":"%s"}|} (J.escape msg))
+    (sprintf "note %s" (J.escape src), sprintf {|{"msg":"%s"}|} (J.escape (Lazy.force msg)))
 
 let record ?(pid = 0) t ~time_ms ev =
   let name, args = name_and_args ev in

@@ -41,7 +41,7 @@ let test_scripted_golden () =
   sink ~time_ms:300. (served ~op:3 ~kind:"write" ~key:"k" ~lc_count:2 ~lc_node:0 ~start_ms:250.);
   sink ~time_ms:400. (served ~op:4 ~kind:"read" ~key:"k" ~lc_count:1 ~lc_node:0 ~start_ms:350.);
   sink ~time_ms:500. (served ~op:5 ~kind:"read" ~key:"k" ~lc_count:2 ~lc_node:0 ~start_ms:450.);
-  sink ~time_ms:600. (Event.Note { src = "test"; msg = "watermark" });
+  sink ~time_ms:600. (Event.Note { src = "test"; msg = lazy "watermark" });
   let s = Aoi.summary t in
   Alcotest.(check int) "keys tracked (reads alone track nothing)" 1 s.Aoi.keys_tracked;
   Alcotest.(check int) "reads checked" 4 s.Aoi.reads_checked;

@@ -64,7 +64,7 @@ let test_sim_log_stamps_time () =
   let ppf = Format.formatter_of_buffer buf in
   Dq_sim.Sim_log.attach ~ppf engine;
   let bus = Engine.telemetry engine in
-  let ev = Dq_telemetry.Event.Note { src = "test"; msg = "later" } in
+  let ev = Dq_telemetry.Event.Note { src = "test"; msg = lazy "later" } in
   ignore (Engine.schedule engine ~delay:123. (fun () -> Dq_telemetry.Bus.emit bus ev));
   Engine.run engine;
   Format.pp_print_flush ppf ();

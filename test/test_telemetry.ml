@@ -26,7 +26,7 @@ let test_unsubscribed_bus () =
   let bus = Engine.telemetry engine in
   Alcotest.(check bool) "fresh bus has no sinks" false (Bus.subscribed bus);
   (* Emitting into a sink-less bus is a no-op, not an error. *)
-  Bus.emit bus (Event.Note { src = "test"; msg = "dropped on the floor" })
+  Bus.emit bus (Event.Note { src = "test"; msg = lazy "dropped on the floor" })
 
 let test_fan_out_and_virtual_time () =
   let engine = Engine.create () in
@@ -203,11 +203,143 @@ let test_trace_golden () =
 let test_trace_escapes_strings () =
   let t = Trace.create () in
   Trace.record t ~time_ms:0.
-    (Event.Note { src = "a\"b"; msg = "line1\nline2\\end" });
+    (Event.Note { src = "a\"b"; msg = lazy "line1\nline2\\end" });
   Alcotest.(check bool) "quote escaped" true
     (contains ~sub:{|note a\"b|} (Trace.contents t));
   Alcotest.(check bool) "newline escaped" true
     (contains ~sub:{|line1\nline2\\end|} (Trace.contents t))
+
+(* --- event kinds ------------------------------------------------------------ *)
+
+(* One value of every constructor, both [Cache_read] variants, with the
+   slug each must be counted under. *)
+let one_of_each =
+  [
+    (Event.Msg_sent { src = 0; dst = 1; label = "l"; bytes = 1; local = false }, "msg_sent");
+    (Event.Msg_delivered { src = 0; dst = 1; label = "l" }, "msg_delivered");
+    (Event.Msg_dropped { src = 0; dst = 1; label = "l"; reason = "loss" }, "msg_dropped");
+    (Event.Op_start { op = 0; client = 0; kind = "read"; key = "k" }, "op_start");
+    ( Event.Op_complete { op = 0; client = 0; kind = "read"; start_ms = 0.; latency_ms = 1. },
+      "op_complete" );
+    ( Event.Op_served
+        { op = 0; client = 0; kind = "read"; key = "k"; lc_count = 1; lc_node = 0; start_ms = 0. },
+      "op_served" );
+    (Event.Op_timeout { op = 0; client = 0; kind = "read" }, "op_timeout");
+    (Event.Op_give_up { op = 0; client = 0; kind = "read" }, "op_give_up");
+    ( Event.Lease_granted { node = 0; peer = 1; volume = 0; lease_ms = 1000.; epoch = 0 },
+      "lease_granted" );
+    (Event.Lease_expired { node = 0; peer = 1; volume = 0 }, "lease_expired");
+    (Event.Inval_through { node = 0; peer = 1; key = "k" }, "inval_through");
+    (Event.Inval_suppressed { node = 0; key = "k" }, "inval_suppressed");
+    (Event.Inval_delayed { node = 0; peer = 1; key = "k" }, "inval_delayed");
+    (Event.Epoch_advance { node = 0; peer = 1; volume = 0; epoch = 1 }, "epoch_advance");
+    (Event.Cache_read { node = 0; key = "k"; hit = true }, "read_hit");
+    (Event.Cache_read { node = 0; key = "k"; hit = false }, "read_miss");
+    (Event.Rpc_round { node = 0; tag = "t"; round = 0 }, "rpc_round");
+    (Event.Rpc_give_up { node = 0; tag = "t"; rounds = 3 }, "rpc_give_up");
+    (Event.Link_cut { src = 0; dst = 1 }, "link_cut");
+    (Event.Link_uncut { src = 0; dst = 1 }, "link_uncut");
+    (Event.Node_crash { node = 0 }, "node_crash");
+    (Event.Node_wipe { node = 0 }, "node_wipe");
+    (Event.Node_recover { node = 0 }, "node_recover");
+    (Event.Recovery_start { node = 0 }, "recovery_start");
+    ( Event.Recovery_done { node = 0; bytes = 10; objects = 1; duration_ms = 5. },
+      "recovery_done" );
+    (Event.Fault_injected { label = "f" }, "fault_injected");
+    (Event.Clock_skew { node = 0; skew = 1e-6 }, "clock_skew");
+    (Event.Span_begin { name = "s"; node = 0 }, "span_begin");
+    (Event.Span_end { name = "s"; node = 0 }, "span_end");
+    (Event.Note { src = "test"; msg = lazy "n" }, "note");
+  ]
+
+let test_kind_table () =
+  Alcotest.(check int) "one sample per kind" Event.kinds (List.length one_of_each);
+  List.iter
+    (fun (ev, slug) ->
+      Alcotest.(check string) ("name of " ^ slug) slug (Event.name ev);
+      Alcotest.(check string) ("table entry of " ^ slug) slug (Event.kind_name (Event.kind ev)))
+    one_of_each;
+  Alcotest.(check (list int))
+    "kinds are distinct and dense"
+    (List.init Event.kinds Fun.id)
+    (List.sort Int.compare (List.map (fun (ev, _) -> Event.kind ev) one_of_each))
+
+(* Metrics' kind-indexed counters against a by-name reference model:
+   a map from slug to count, cleared by reset. [None] in the stream is
+   a reset. *)
+module Names = Map.Make (String)
+
+let counts_match_model =
+  let samples = Array.of_list (List.map fst one_of_each) in
+  let step =
+    QCheck.Gen.(
+      frequency
+        [ (1, return None); (20, map (fun i -> Some i) (int_bound (Array.length samples - 1))) ])
+  in
+  QCheck.Test.make ~name:"event counts equal a by-name model, reset included" ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (option int))
+       QCheck.Gen.(list_size (int_bound 200) step))
+    (fun stream ->
+      let m = Metrics.create () in
+      let sink = Metrics.sink m in
+      let model =
+        List.fold_left
+          (fun model step ->
+            match step with
+            | None ->
+              Metrics.reset m;
+              Names.empty
+            | Some i ->
+              let ev = samples.(i) in
+              sink ~time_ms:0. ev;
+              Names.update (Event.name ev)
+                (fun n -> Some (1 + Option.value n ~default:0))
+                model)
+          Names.empty stream
+      in
+      Metrics.event_counts m = Names.bindings model
+      && List.for_all
+           (fun (_, slug) ->
+             Metrics.event_count m slug = Option.value (Names.find_opt slug model) ~default:0)
+           one_of_each
+      && Metrics.event_count m "no_such_kind" = 0)
+
+(* --- Note text on demand --------------------------------------------------- *)
+
+(* With only Metrics and Aoi subscribed, a DQVL run formats no Note
+   text; handing the same events to Trace renders every one. *)
+let test_notes_render_on_demand () =
+  let engine = Engine.create ~seed:21L () in
+  let bus = Engine.telemetry engine in
+  Bus.subscribe bus (Metrics.sink (Metrics.create ()));
+  Bus.subscribe bus (Dq_telemetry.Aoi.sink (Dq_telemetry.Aoi.create ()));
+  let notes = ref [] in
+  Bus.subscribe bus (fun ~time_ms ev ->
+      match ev with Event.Note _ -> notes := (time_ms, ev) :: !notes | _ -> ());
+  let topology = Topology.make ~n_servers:3 ~n_clients:2 () in
+  let instance = (Registry.dqvl ()).Registry.build engine topology () in
+  let spec =
+    { Spec.default with Spec.write_ratio = 0.5; sharing = Spec.Shared_uniform { objects = 1 } }
+  in
+  let config = { (Driver.default_config spec) with Driver.ops_per_client = 10 } in
+  let _result = Driver.run engine topology instance.Registry.api config in
+  let notes = List.rev !notes in
+  let rendered () =
+    List.filter
+      (function _, Event.Note { msg; _ } -> Lazy.is_val msg | _ -> false)
+      notes
+  in
+  Alcotest.(check bool) "the run published notes" true (List.length notes > 10);
+  Alcotest.(check int) "no note rendered by counting sinks" 0 (List.length (rendered ()));
+  let t = Trace.create () in
+  List.iter (fun (time_ms, ev) -> Trace.record t ~time_ms ev) notes;
+  Alcotest.(check int) "trace renders every note" (List.length notes)
+    (List.length (rendered ()));
+  Alcotest.(check bool) "oqs text in the trace" true
+    (contains ~sub:"invalidated by" (Trace.contents t));
+  Alcotest.(check bool) "front-end text in the trace" true
+    (contains ~sub:"assigned lc=" (Trace.contents t))
 
 let () =
   Alcotest.run "telemetry"
@@ -231,6 +363,12 @@ let () =
           Alcotest.test_case "sink counts events" `Quick test_metrics_sink_counts_events;
           Alcotest.test_case "equal labels share a cell" `Quick
             test_metrics_equal_labels_share_a_cell;
+          QCheck_alcotest.to_alcotest counts_match_model;
+        ] );
+      ( "kinds",
+        [
+          Alcotest.test_case "name agrees with the kind table" `Quick test_kind_table;
+          Alcotest.test_case "notes render on demand" `Quick test_notes_render_on_demand;
         ] );
       ( "trace",
         [
