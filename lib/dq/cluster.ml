@@ -68,9 +68,11 @@ let install_server t id =
   in
   let roles = { iqs; oqs; fe } in
   Hashtbl.replace t.servers id roles;
+  (* Every delivered message passes here: match the roles rather than
+     allocate an [Option.iter] closure per role per message. *)
   Net.register t.net ~node:id (fun ~src msg ->
-      Option.iter (fun server -> Iqs_server.handle server ~src msg) roles.iqs;
-      Option.iter (fun server -> Oqs_server.handle server ~src msg) roles.oqs;
+      (match roles.iqs with Some server -> Iqs_server.handle server ~src msg | None -> ());
+      (match roles.oqs with Some server -> Oqs_server.handle server ~src msg | None -> ());
       Frontend.handle roles.fe ~src msg);
   Net.on_status_change t.net ~node:id (fun ~up ~wiped ->
       if up then begin

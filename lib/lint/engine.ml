@@ -314,6 +314,15 @@ let is_pool_map_callee p =
   let n = Path.name p in
   ends_with ~suffix:"Pool.map" n || ends_with ~suffix:"Pool.map_array" n
 
+(* [Engine.schedule], [Engine.schedule_at], [Engine.schedule_guarded],
+   [Engine.schedule_delivery], and any later [Engine.schedule*]. *)
+let is_engine_schedule n =
+  match String.rindex_opt n '.' with
+  | None -> false
+  | Some i ->
+    ends_with ~suffix:"Engine" (String.sub n 0 i)
+    && starts_with ~prefix:"schedule" (String.sub n (i + 1) (String.length n - i - 1))
+
 (* Point checks that only need to look at one identifier occurrence. *)
 let check_ident ctx e p =
   let n = Path.name p in
@@ -331,11 +340,11 @@ let check_ident ctx e p =
       n;
   (* R6: raw engine timer in node-scoped code. Net.timer wraps the same
      schedule in an incarnation check (lib/net/net.ml), so callbacks
-     armed before a crash/amnesia restart are dropped on recovery. *)
-  if
-    ends_with ~suffix:"Engine.schedule" n
-    || ends_with ~suffix:"Engine.schedule_at" n
-  then
+     armed before a crash/amnesia restart are dropped on recovery. Every
+     Engine.schedule* entry point counts, the guarded and delivery
+     variants included: a guard or a handler chosen by node code is not
+     the node's incarnation check. *)
+  if is_engine_schedule n then
     report ctx "R6" ~loc:e.exp_loc
       "%s arms a raw engine timer with no incarnation guard; node-scoped \
        callbacks must go through Net.timer so crash/amnesia recovery drops \

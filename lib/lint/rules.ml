@@ -83,9 +83,10 @@ let r5 =
   }
 
 (* R6 covers the node-scoped protocol layers. Net.timer (lib/net/net.ml)
-   wraps Engine.schedule with an incarnation check, so callbacks armed
-   before a crash/amnesia restart are dropped instead of firing into the
-   node's next life. Raw Engine scheduling bypasses that guard. The
+   arms an Engine.schedule_guarded event with an incarnation check, so
+   callbacks armed before a crash/amnesia restart are dropped instead of
+   firing into the node's next life. Raw Engine scheduling, through any
+   Engine.schedule* entry point, bypasses that guard. The
    harness layers (nemesis, churn, driver, ...) schedule *off-node*
    orchestration on purpose and stay out of scope. *)
 let r6 =
@@ -94,8 +95,8 @@ let r6 =
     name = "no-raw-timer";
     summary =
       "node-scoped code must arm timers via Net.timer (incarnation-guarded); \
-       raw Engine.schedule/schedule_at survives crash+recovery as a zombie \
-       callback";
+       raw Engine.schedule* (schedule, schedule_at, schedule_guarded, \
+       schedule_delivery) survives crash+recovery as a zombie callback";
     applies = (fun p -> under [ "lib/dq"; "lib/protocols"; "lib/rpc" ] p);
     scope_doc = "lib/dq, lib/protocols and lib/rpc (node-scoped code)";
   }

@@ -34,40 +34,12 @@ type 'msg t = {
   mutable manual : bool;
   mutable pending_pool : (int * int * 'msg) list; (* newest first *)
   mutable service_time_ms : float;
+  (* The handlers every delivery event calls, built once per network so
+     a send allocates no closure: arrival at the destination, and the
+     end of its service queue. *)
+  on_arrive : src:int -> dst:int -> 'msg -> unit;
+  on_serviced : src:int -> dst:int -> 'msg -> unit;
 }
-
-let create engine topology ?(faults = no_faults) ~classify ?(size_of = fun _ -> 0) () =
-  let n = Topology.n_nodes topology in
-  let fresh_node _ =
-    {
-      handler = None;
-      up = true;
-      incarnation = 0;
-      wiped = false;
-      degrade = None;
-      watchers = [];
-      busy_until = 0.;
-    }
-  in
-  {
-    engine;
-    bus = Dq_sim.Engine.telemetry engine;
-    topology;
-    rng = Dq_sim.Engine.split_rng engine;
-    classify;
-    size_of;
-    stats = Dq_telemetry.Metrics.create ();
-    nodes = Array.init n fresh_node;
-    faults;
-    group_of = None;
-    cuts = [||];
-    link_faults = [||];
-    flap_gens = Hashtbl.create 8;
-    next_flap_gen = 0;
-    manual = false;
-    pending_pool = [];
-    service_time_ms = 0.;
-  }
 
 let set_service_time t ~ms =
   if ms < 0. then invalid_arg "Net.set_service_time: negative";
@@ -246,10 +218,64 @@ let arrive t ~src ~dst msg =
     let start = Float.max now node.busy_until in
     let done_at = start +. t.service_time_ms in
     node.busy_until <- done_at;
-    ignore
-      (Dq_sim.Engine.schedule t.engine ~delay:(done_at -. now) (fun () ->
-           deliver t ~src ~dst msg))
+    Dq_sim.Engine.schedule_delivery t.engine ~delay:(done_at -. now) t.on_serviced ~src
+      ~dst msg
   end
+
+let create engine topology ?(faults = no_faults) ~classify ?(size_of = fun _ -> 0) () =
+  let n = Topology.n_nodes topology in
+  let fresh_node _ =
+    {
+      handler = None;
+      up = true;
+      incarnation = 0;
+      wiped = false;
+      degrade = None;
+      watchers = [];
+      busy_until = 0.;
+    }
+  in
+  let bus = Dq_sim.Engine.telemetry engine in
+  let rng = Dq_sim.Engine.split_rng engine in
+  let stats = Dq_telemetry.Metrics.create () in
+  let nodes = Array.init n fresh_node in
+  let flap_gens = Hashtbl.create 8 in
+  let rec t =
+    {
+      engine;
+      bus;
+      topology;
+      rng;
+      classify;
+      size_of;
+      stats;
+      nodes;
+      faults;
+      group_of = None;
+      cuts = [||];
+      link_faults = [||];
+      flap_gens;
+      next_flap_gen = 0;
+      manual = false;
+      pending_pool = [];
+      service_time_ms = 0.;
+      on_arrive = (fun ~src ~dst msg -> arrive t ~src ~dst msg);
+      on_serviced = (fun ~src ~dst msg -> deliver t ~src ~dst msg);
+    }
+  in
+  t
+
+(* One copy of a message: draws its jitter (when the link has any), then
+   schedules its arrival as a delivery event. *)
+let schedule_arrival t ~src ~dst msg faults deg_src deg_dst =
+  let jitter =
+    if faults.jitter_ms > 0. then Dq_util.Rng.float t.rng faults.jitter_ms else 0.
+  in
+  let delay =
+    Topology.delay t.topology ~src ~dst +. jitter +. degrade_delay deg_src
+    +. degrade_delay deg_dst
+  in
+  Dq_sim.Engine.schedule_delivery t.engine ~delay t.on_arrive ~src ~dst msg
 
 let send t ~src ~dst msg =
   check_id t src;
@@ -275,20 +301,9 @@ let send t ~src ~dst msg =
         let deg_src = t.nodes.(src).degrade and deg_dst = t.nodes.(dst).degrade in
         let loss = fold_degrade_loss (fold_degrade_loss faults.loss deg_src) deg_dst in
         if not (Dq_util.Rng.bernoulli t.rng loss) then begin
-          let schedule_delivery () =
-            let jitter =
-              if faults.jitter_ms > 0. then Dq_util.Rng.float t.rng faults.jitter_ms
-              else 0.
-            in
-            let delay =
-              Topology.delay t.topology ~src ~dst +. jitter
-              +. degrade_delay deg_src +. degrade_delay deg_dst
-            in
-            ignore
-              (Dq_sim.Engine.schedule t.engine ~delay (fun () -> arrive t ~src ~dst msg))
-          in
-          schedule_delivery ();
-          if Dq_util.Rng.bernoulli t.rng faults.duplicate then schedule_delivery ()
+          schedule_arrival t ~src ~dst msg faults deg_src deg_dst;
+          if Dq_util.Rng.bernoulli t.rng faults.duplicate then
+            schedule_arrival t ~src ~dst msg faults deg_src deg_dst
         end
         else if subscribed then
           Dq_telemetry.Bus.emit t.bus
@@ -349,12 +364,15 @@ let on_status_change t ~node watch =
   let state = t.nodes.(node) in
   state.watchers <- watch :: state.watchers
 
+(* A node-scoped timer fires only if its node is up in the incarnation
+   that armed it. *)
+let alive state incarnation = state.up && state.incarnation = incarnation
+
 let timer t ~node ~delay_ms action =
   check_id t node;
   let state = t.nodes.(node) in
-  let incarnation = state.incarnation in
-  Dq_sim.Engine.schedule t.engine ~delay:delay_ms (fun () ->
-      if state.up && state.incarnation = incarnation then action ())
+  Dq_sim.Engine.schedule_guarded t.engine ~delay:delay_ms ~guard:alive state
+    state.incarnation action
 
 let set_manual t on = t.manual <- on
 

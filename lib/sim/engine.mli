@@ -36,6 +36,22 @@ val schedule : t -> delay:float -> (unit -> unit) -> handle
 val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** Absolute-time variant; [time] must not be in the past. *)
 
+val schedule_guarded :
+  t -> delay:float -> guard:('s -> int -> bool) -> 's -> int -> (unit -> unit) -> handle
+(** [schedule_guarded t ~delay ~guard state stamp f] runs [f] at
+    [now t +. delay] if [guard state stamp] holds then. It allocates no
+    closure for the check, so [guard] should be a toplevel function:
+    [Net.timer] passes the node's state and its incarnation at arming
+    time. The event counts as executed whether or not [f] runs, and it
+    drops [f] when it fires or is cancelled. *)
+
+val schedule_delivery :
+  t -> delay:float -> (src:int -> dst:int -> 'm -> unit) -> src:int -> dst:int -> 'm -> unit
+(** [schedule_delivery t ~delay handler ~src ~dst msg] calls
+    [handler ~src ~dst msg] at [now t +. delay]. The event is the
+    triple plus the handler, which the caller builds once: [Net] makes
+    one per network. A delivery cannot be cancelled. *)
+
 val cancel : handle -> unit
 (** Cancelling a fired or already-cancelled event is a no-op. A
     cancelled event releases its action at once, so the closure and

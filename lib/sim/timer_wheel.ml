@@ -4,11 +4,11 @@
    ring of [l2_slots] slots spanning one full level-1 rotation each.
    The wheel never fires events itself: it stores them until the owner
    advances the boundary, at which point the events of the crossed
-   slots are handed back (to be merged into the owner's event heap,
-   which provides the exact (time, seq) total order). Events outside
+   slot are loaded into the owner's sorted run (see {!Event_heap}),
+   which provides the exact (time, seq) total order. Events outside
    the covered horizon — or on a float-rounding edge where the slot
    computation disagrees with the boundary comparison — are rejected at
-   [add] and must live in the heap: the wheel <-> heap overflow
+   [add] and must live in the owner's heap: the wheel <-> heap overflow
    handoff. Rejecting edge cases to the heap is always safe; placing an
    event in a too-late slot never is, so membership is decided by the
    slot index itself.
@@ -50,10 +50,10 @@ let l2_slots = 256 (* a power of two: rotation [r] sits in slot [r land (l2_slot
 
 let fresh_slot () = { times = [||]; seqs = [||]; data = [||]; len = 0 }
 
-(* Push onto slot [idx] (in range) of [ring]. A slot gets its own
-   buffers on its first push, so [create] allocates two arrays rather
-   than 512 slots. *)
-let slot_push w ring idx ~time ~seq x =
+(* The slot [idx] (in range) of [ring], with room for one more entry.
+   A slot gets its own buffers on its first push, so [create] allocates
+   two arrays rather than 512 slots. *)
+let writable_slot w ring idx =
   let s =
     let s = Array.unsafe_get ring idx in
     if s != w.unused then s
@@ -75,6 +75,10 @@ let slot_push w ring idx ~time ~seq x =
     s.seqs <- seqs;
     s.data <- data
   end;
+  s
+
+let slot_push w ring idx ~time ~seq x =
+  let s = writable_slot w ring idx in
   s.times.(s.len) <- time;
   s.seqs.(s.len) <- seq;
   s.data.(s.len) <- x;
@@ -150,8 +154,9 @@ let add t ~time ~seq x =
 (* Promote rotation [next2] into the level-1 ring and advance the
    level-1 window to cover its span; its level-2 slot is then free for
    rotation [next2 + l2_slots]. An event landing one slot early from
-   float rounding merely reaches the heap one slot sooner; the [add]
-   index checks guarantee no event can land late. *)
+   float rounding merely reaches the owner one slot sooner; the [add]
+   index checks guarantee no event can land late. Entries move array
+   to array, so no time is boxed on the way. *)
 let promote t =
   t.base1 <- t.base2 +. (rotation_ms t *. float_of_int t.next2);
   t.cursor <- -1;
@@ -161,15 +166,18 @@ let promote t =
     let time = s.times.(i) in
     let idx = int_of_float ((time -. t.base1) /. t.slot_ms) in
     let idx = Stdlib.min (l1_slots - 1) (Stdlib.max 0 idx) in
-    slot_push t t.l1 idx ~time ~seq:s.seqs.(i) s.data.(i)
+    let d = writable_slot t t.l1 idx in
+    d.times.(d.len) <- time;
+    d.seqs.(d.len) <- s.seqs.(i);
+    d.data.(d.len) <- s.data.(i);
+    d.len <- d.len + 1
   done;
   Array.fill s.data 0 s.len t.dummy;
   s.len <- 0
 
-(* Advance the boundary past the next non-empty slot, handing its
-   events to [drain] (unordered within the slot: the caller's heap
-   restores the (time, seq) order). Requires [length t > 0]. *)
-let advance t ~drain =
+(* Advance the boundary past the next non-empty slot and load its
+   events into [run], which sorts them. Requires [length t > 0]. *)
+let advance t run =
   if t.count = 0 then invalid_arg "Timer_wheel.advance: empty wheel";
   let drained = ref false in
   while not !drained do
@@ -178,9 +186,7 @@ let advance t ~drain =
       t.cursor <- t.cursor + 1;
       let s = t.l1.(t.cursor) in
       if s.len > 0 then begin
-        for i = 0 to s.len - 1 do
-          drain ~time:s.times.(i) ~seq:s.seqs.(i) s.data.(i)
-        done;
+        Event_heap.load_run run ~times:s.times ~seqs:s.seqs ~data:s.data ~len:s.len;
         t.count <- t.count - s.len;
         Array.fill s.data 0 s.len t.dummy;
         s.len <- 0;

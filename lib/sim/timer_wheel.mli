@@ -3,14 +3,14 @@
     that dominate the engine's event population.
 
     The wheel stores [(time, seq, 'a)] triples in O(1) per insert.
-    It does not order events: the owner pulls the events of crossed
-    slots with {!advance} and merges them into its event heap, which
-    restores the exact [(time, seq)] total order — so an engine built
-    on wheel + heap fires in exactly the same order as one built on
-    the heap alone. Events the wheel cannot place (before the current
+    It does not order events: {!advance} loads the events of the next
+    crossed slot into a sorted {!Event_heap.run}, which restores the
+    exact [(time, seq)] order within the slot — so an engine built on
+    wheel, run and heap fires in exactly the same order as one built on
+    a heap alone. Events the wheel cannot place (before the current
     {!boundary}, past the {!horizon}, or on a float-rounding edge) are
-    rejected by {!add} and must be kept in the heap: the wheel <-> heap
-    overflow handoff.
+    rejected by {!add} and must be kept in the owner's heap: the wheel
+    <-> heap overflow handoff.
 
     Default geometry: 256 level-1 slots of [slot_ms] (default 1 ms)
     plus a rolling ring of 256 level-2 slots of one level-1 rotation
@@ -41,10 +41,14 @@ val add : 'a t -> time:float -> seq:int -> 'a -> bool
 (** Store an event; [false] means the wheel cannot hold it (keep it in
     the heap). Never places an event in a slot later than its time. *)
 
-val advance : 'a t -> drain:(time:float -> seq:int -> 'a -> unit) -> unit
-(** Move {!boundary} forward past the next non-empty slot, handing that
-    slot's events (in unspecified order) to [drain].
-    Raises [Invalid_argument] when empty. *)
+val advance : 'a t -> 'a Event_heap.run -> unit
+(** Move {!boundary} forward past the next non-empty slot and load that
+    slot's events into the run ({!Event_heap.load_run}: sorted by
+    [(time, seq)]); the slot's cells are reset to the dummy. Slot
+    placement is monotone in time, so every event still in the wheel is
+    at or after every loaded one. Raises
+    [Invalid_argument] when the wheel is empty, or when the run still
+    holds unconsumed entries. *)
 
 val rebase : 'a t -> now:float -> unit
 (** Re-anchor an empty wheel so [now] falls in its first slot. Raises

@@ -90,6 +90,113 @@ let test_fired_event_released () =
   Engine.run e;
   Alcotest.(check bool) "engine still runs" true !fired
 
+(* An event the engine has already loaded into its sorted run (it
+   shares a wheel slot with the event now firing) can still be
+   cancelled, and then neither fires nor counts. *)
+let test_cancel_in_run () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let later = ref None in
+  ignore
+    (Engine.schedule e ~delay:5.2 (fun () ->
+         log := "first" :: !log;
+         Option.iter Engine.cancel !later));
+  later := Some (Engine.schedule e ~delay:5.7 (fun () -> log := "cancelled" :: !log));
+  ignore (Engine.schedule e ~delay:5.9 (fun () -> log := "last" :: !log));
+  Engine.run e;
+  Alcotest.(check (list string)) "order" [ "first"; "last" ] (List.rev !log);
+  Alcotest.(check int) "executed" 2 (Engine.events_executed e);
+  Alcotest.(check int) "nothing pending" 0 (Engine.pending_events e)
+
+(* A run entry (here 5 ms out: one wheel slot, loaded into the run)
+   releases its action once fired; so does a guarded event, even while
+   its handle is still held, as protocol state holds timer handles. *)
+let[@inline never] schedule_guarded_watched e ~weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Engine.schedule_guarded e ~delay:5. ~guard:(fun () _ -> true) () 0 (fun () ->
+      ignore (Sys.opaque_identity payload))
+
+let test_fired_run_entry_released () =
+  let e = Engine.create () in
+  let weak = Weak.create 1 in
+  let guarded = schedule_guarded_watched e ~weak in
+  let weak_thunk = Weak.create 1 in
+  let[@inline never] arm () =
+    let payload = Bytes.make 64 'y' in
+    Weak.set weak_thunk 0 (Some payload);
+    Engine.schedule e ~delay:5.5 (fun () -> ignore (Sys.opaque_identity payload))
+  in
+  let thunk = arm () in
+  Engine.run e;
+  Alcotest.(check int) "both fired" 2 (Engine.events_executed e);
+  Gc.full_major ();
+  Alcotest.(check bool) "guarded action collected though its handle is live" false
+    (Weak.check weak 0);
+  Alcotest.(check bool) "run entry's action collected though its handle is live" false
+    (Weak.check weak_thunk 0);
+  Alcotest.(check bool) "handles no longer pending" false
+    (Engine.is_pending guarded || Engine.is_pending thunk);
+  Engine.cancel thunk;
+  Alcotest.(check int) "cancel after firing is a no-op" 0 (Engine.pending_events e)
+
+(* A guarded event runs its action only if the guard holds at expiry,
+   and counts as executed either way. *)
+let test_guarded () =
+  let e = Engine.create () in
+  let state = ref 0 in
+  let alive state stamp = !state = stamp in
+  let ran = ref [] in
+  ignore (Engine.schedule_guarded e ~delay:1. ~guard:alive state 0 (fun () -> ran := 1 :: !ran));
+  ignore (Engine.schedule_guarded e ~delay:3. ~guard:alive state 0 (fun () -> ran := 2 :: !ran));
+  let h = Engine.schedule_guarded e ~delay:4. ~guard:alive state 1 (fun () -> ran := 3 :: !ran) in
+  ignore (Engine.schedule e ~delay:2. (fun () -> incr state));
+  Alcotest.(check int) "four pending" 4 (Engine.pending_events e);
+  Engine.cancel h;
+  Alcotest.(check bool) "cancelled" false (Engine.is_pending h);
+  Engine.run e;
+  Alcotest.(check (list int)) "only the guard that held ran" [ 1 ] (List.rev !ran);
+  Alcotest.(check int) "guard failure still executes" 3 (Engine.events_executed e)
+
+let test_delivery () =
+  let e = Engine.create () in
+  let got = ref [] in
+  let handler ~src ~dst msg = got := (src, dst, msg, Engine.now e) :: !got in
+  Engine.schedule_delivery e ~delay:8. handler ~src:1 ~dst:2 "b";
+  Engine.schedule_delivery e ~delay:0.05 handler ~src:3 ~dst:3 "a";
+  Alcotest.(check int) "pending" 2 (Engine.pending_events e);
+  Engine.run e;
+  Alcotest.(check (list (pair (pair int int) (pair string (float 0.)))))
+    "delivered in time order"
+    [ ((3, 3), ("a", 0.05)); ((1, 2), ("b", 8.)) ]
+    (List.rev_map (fun (s, d, m, t) -> ((s, d), (m, t))) !got);
+  Alcotest.(check int) "none pending" 0 (Engine.pending_events e)
+
+(* Minor-heap words per scheduled-and-dispatched event, over the delays
+   perfbench's [engine.dispatch] micro uses (local, LAN, WAN, server,
+   retransmission and lease timers). The event is a three-word thunk
+   and its time is boxed once; the heap's option results, the refill
+   closure and the event's boxed key are gone. *)
+let test_dispatch_allocation () =
+  let e = Engine.create () in
+  let base = [| 0.; 0.05; 8.; 80.; 86.; 400.; 5000. |] in
+  let delays = Array.init 1000 (fun i -> base.(i mod 7) +. (float_of_int (i * 37 mod 100) /. 100.)) in
+  let tick () = () in
+  let batch () =
+    Array.iter (fun delay -> ignore (Engine.schedule e ~delay tick : Engine.handle)) delays;
+    Engine.run e
+  in
+  (* warm-up: grow the store buffers and wheel slots the batches touch *)
+  for _ = 1 to 5 do
+    batch ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 5 do
+    batch ()
+  done;
+  let words = (Gc.minor_words () -. before) /. 5000. in
+  if words > 14. then Alcotest.failf "%.1f words per dispatched event, budget 14" words
+
 let test_cancel_idempotent () =
   let e = Engine.create () in
   let handle = Engine.schedule e ~delay:1. (fun () -> ()) in
@@ -200,6 +307,124 @@ let prop_events_fire_in_order =
       in
       List.length fired = List.length delays && nondecreasing fired)
 
+(* {2 Order against a reference model}
+
+   A program schedules events at t = 0; each firing performs the next
+   reaction in a cycle: schedule more events or cancel an earlier one,
+   which may have fired already, or sit in the heap, the wheel or the
+   sorted run. The reference is a plain list of pending events searched
+   for the least (time, seq) at every step. *)
+
+type reaction = Spawn of float | Cancel of int
+
+type sched = {
+  now : unit -> float;
+  arm : delay:float -> (unit -> unit) -> unit -> unit; (* returns the canceller *)
+  drain : unit -> unit;
+}
+
+let engine_sched () =
+  let e = Engine.create () in
+  {
+    now = (fun () -> Engine.now e);
+    arm =
+      (fun ~delay f ->
+        let h = Engine.schedule e ~delay f in
+        fun () -> Engine.cancel h);
+    drain = (fun () -> Engine.run e);
+  }
+
+let model_sched () =
+  let clock = ref 0. and seq = ref 0 and pending = ref [] in
+  let rec drain () =
+    let least =
+      List.fold_left
+        (fun acc ((time, s, _, _) as ev) ->
+          match acc with
+          | Some (t', s', _, _) when t' < time || (t' = time && s' < s) -> acc
+          | Some _ | None -> Some ev)
+        None !pending
+    in
+    match least with
+    | None -> ()
+    | Some ((time, _, live, f) as ev) ->
+      pending := List.filter (fun ev' -> ev' != ev) !pending;
+      clock := time;
+      if !live then begin
+        live := false;
+        f ()
+      end;
+      drain ()
+  in
+  {
+    now = (fun () -> !clock);
+    arm =
+      (fun ~delay f ->
+        let live = ref true in
+        pending := (!clock +. delay, !seq, live, f) :: !pending;
+        incr seq;
+        fun () -> live := false);
+    drain;
+  }
+
+let interpret sched (initial, reactions) =
+  let fired = ref [] and cancels = ref [||] and count = ref 0 and firings = ref 0 in
+  let rec spawn delay =
+    let id = !count in
+    incr count;
+    let cancel =
+      sched.arm ~delay (fun () ->
+          fired := (id, sched.now ()) :: !fired;
+          let k = !firings in
+          incr firings;
+          List.iter
+            (function
+              | Spawn d -> if !count < 300 then spawn d
+              | Cancel j -> !cancels.(j mod !count) ())
+            reactions.(k mod Array.length reactions))
+    in
+    if id >= Array.length !cancels then
+      cancels := Array.append !cancels (Array.make (max 16 id) ignore);
+    !cancels.(id) <- cancel
+  in
+  List.iter spawn initial;
+  sched.drain ();
+  List.rev !fired
+
+let gen_delay =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, return 0.); (* zero-delay continuation, into the current slot *)
+        (3, return 0.05); (* local delivery *)
+        (4, return 80.); (* same-instant bursts *)
+        (2, return 80.05);
+        (4, map (fun i -> float_of_int i /. 20.) (int_range 0 60)); (* nearby slots *)
+        (2, map (fun i -> 256. +. (float_of_int i /. 4.)) (int_range 0 4000)); (* level 2 *)
+        (1, map (fun i -> 65_536. +. (1000. *. float_of_int i)) (int_range 0 8));
+        (* around and past the horizon *)
+      ])
+
+let gen_program =
+  QCheck.Gen.(
+    pair
+      (list_size (int_range 1 20) gen_delay)
+      (array_size (int_range 1 8)
+         (list_size (int_range 0 3)
+            (frequency [ (3, map (fun d -> Spawn d) gen_delay); (1, map (fun j -> Cancel j) nat) ]))))
+
+let print_program (initial, reactions) =
+  let reaction = function Spawn d -> Printf.sprintf "+%g" d | Cancel j -> Printf.sprintf "x%d" j in
+  Printf.sprintf "initial [%s]; reactions [%s]"
+    (String.concat "; " (List.map string_of_float initial))
+    (String.concat " | "
+       (Array.to_list (Array.map (fun rs -> String.concat " " (List.map reaction rs)) reactions)))
+
+let prop_fires_in_reference_order =
+  QCheck.Test.make ~name:"firing order equals the sorted (time, seq) model" ~count:300
+    (QCheck.make ~print:print_program gen_program)
+    (fun program -> interpret (engine_sched ()) program = interpret (model_sched ()) program)
+
 let () =
   Alcotest.run "engine"
     [
@@ -211,6 +436,11 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
           Alcotest.test_case "cancel" `Quick test_cancel;
           Alcotest.test_case "cancel idempotent" `Quick test_cancel_idempotent;
+          Alcotest.test_case "cancel in run" `Quick test_cancel_in_run;
+          Alcotest.test_case "fired run entry released" `Quick test_fired_run_entry_released;
+          Alcotest.test_case "guarded" `Quick test_guarded;
+          Alcotest.test_case "delivery" `Quick test_delivery;
+          Alcotest.test_case "dispatch allocation" `Quick test_dispatch_allocation;
           Alcotest.test_case "cancel releases closure" `Quick test_cancel_releases_closure;
           Alcotest.test_case "fired event released" `Quick test_fired_event_released;
           Alcotest.test_case "pending count" `Quick test_pending_count;
@@ -223,5 +453,7 @@ let () =
           Alcotest.test_case "run while" `Quick test_run_while;
           Alcotest.test_case "determinism" `Quick test_determinism;
         ] );
-      ("property", List.map QCheck_alcotest.to_alcotest [ prop_events_fire_in_order ]);
+      ( "property",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_events_fire_in_order; prop_fires_in_reference_order ] );
     ]

@@ -44,7 +44,7 @@ let test_bad_fixtures () =
   expect "r3_bad" "R3" 3;
   expect "r4_bad" "R4" 2;
   expect "r5_bad" "R5" 3;
-  expect "r6_bad" "R6" 2;
+  expect "r6_bad" "R6" 4;
   expect "r7_bad" "R7" 3;
   expect "r8_bad" "R8" 3;
   expect "r9_bad" "R9" 2;
@@ -101,6 +101,8 @@ let test_golden_r6 () =
     [
       "test/lint_fixtures/r6_bad.ml:5:27: [R6] " ^ msg "schedule";
       "test/lint_fixtures/r6_bad.ml:7:30: [R6] " ^ msg "schedule_at";
+      "test/lint_fixtures/r6_bad.ml:10:10: [R6] " ^ msg "schedule_guarded";
+      "test/lint_fixtures/r6_bad.ml:13:2: [R6] " ^ msg "schedule_delivery";
     ]
   in
   Alcotest.(check (list string)) "r6_bad golden" expected (strings (lint "r6_bad"))
@@ -327,7 +329,7 @@ let test_build_dir_walk () =
       let ds, errors, cmts = Engine.lint_build_dir fixture_cfg dir in
       Alcotest.(check (list string))
         "findings (the duplicate source adds none)"
-        [ "R6"; "R6"; "R8"; "R8"; "R8" ]
+        [ "R6"; "R6"; "R6"; "R6"; "R8"; "R8"; "R8" ]
         (ids ds);
       (match errors with
       | [ e ] ->
@@ -365,7 +367,9 @@ let test_source_without_cmt () =
       write_file (Filename.concat fixtures "r6_bad.ml") "";
       write_file (Filename.concat fixtures "orphan.ml") "";
       let ds, errors, cmts = Engine.lint_build_dir fixture_cfg dir in
-      Alcotest.(check (list string)) "the compiled source is still linted" [ "R6"; "R6" ] (ids ds);
+      Alcotest.(check (list string)) "the compiled source is still linted"
+        [ "R6"; "R6"; "R6"; "R6" ]
+        (ids ds);
       Alcotest.(check int) "cmts walked" 1 cmts;
       match errors with
       | [ e ] ->

@@ -451,6 +451,77 @@ let test_stats_by_label () =
   Alcotest.(check int) "total" 2 (Metrics.total stats);
   Alcotest.(check (list (pair string int))) "labels" [ ("ping", 1) ] (Metrics.by_label stats)
 
+(* {2 Retention and allocation} *)
+
+(* The watched payloads are allocated in separate functions so that no
+   local root of the test holds them. *)
+let[@inline never] send_watched net ~weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Net.send net ~src:0 ~dst:1 payload;
+  Net.timer net ~node:0 ~delay_ms:30. (fun () -> ignore (Sys.opaque_identity payload))
+
+(* A delivered message and a fired timer's action are collectable once
+   their events are done, even while the timer's handle is still held. *)
+let test_delivered_and_fired_released () =
+  let engine = Engine.create ~seed:1L () in
+  let topo = Topology.make ~n_servers:2 ~n_clients:0 () in
+  let net = Net.create engine topo ~classify:(fun _ -> "blob") () in
+  let weak = Weak.create 1 in
+  let delivered = ref 0 in
+  Net.register net ~node:1 (fun ~src:_ _ -> incr delivered);
+  let handle = send_watched net ~weak in
+  Engine.run engine;
+  Alcotest.(check int) "delivered" 1 !delivered;
+  Alcotest.(check int) "timer fired" 2 (Engine.events_executed engine);
+  Gc.full_major ();
+  Alcotest.(check bool) "message and action collected" false (Weak.check weak 0);
+  Alcotest.(check bool) "handle spent" false (Engine.is_pending handle)
+
+let[@inline never] arm_watched net ~weak =
+  let payload = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some payload);
+  Net.timer net ~node:0 ~delay_ms:1000. (fun () -> ignore (Sys.opaque_identity payload))
+
+(* A cancelled node timer releases its action at once, not at its due
+   time: retry timers are cancelled by the thousand. *)
+let test_cancelled_timer_released () =
+  let engine, net = make () in
+  let weak = Weak.create 1 in
+  let handle = arm_watched net ~weak in
+  Engine.cancel handle;
+  Gc.full_major ();
+  Alcotest.(check bool) "action collected before the due time" false (Weak.check weak 0);
+  Alcotest.(check (float 0.)) "no time passed" 0. (Engine.now engine);
+  Engine.run engine;
+  Alcotest.(check int) "cancelled timer never executes" 0 (Engine.events_executed engine)
+
+(* Minor-heap words per Net.send and its delivery, as perfbench's
+   [net.send_deliver] micro measures them. A send allocates its delivery
+   event and the boxed delay and due time; no per-send closure. *)
+let test_send_deliver_allocation () =
+  let engine = Engine.create ~seed:1L () in
+  let net = Net.create engine (Topology.make ~n_servers:2 ~n_clients:0 ()) ~classify () in
+  let delivered = ref 0 in
+  Net.register net ~node:1 (fun ~src:_ _ -> incr delivered);
+  let msg = Ping 0 in
+  let batch () =
+    for _ = 1 to 1000 do
+      Net.send net ~src:0 ~dst:1 msg
+    done;
+    Engine.run engine
+  in
+  for _ = 1 to 5 do
+    batch ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 5 do
+    batch ()
+  done;
+  let words = (Gc.minor_words () -. before) /. 5000. in
+  Alcotest.(check int) "all delivered" 10_000 !delivered;
+  if words > 20. then Alcotest.failf "%.1f words per send and delivery, budget 20" words
+
 let () =
   Alcotest.run "net"
     [
@@ -512,6 +583,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_reachable_matches_delivery;
         ] );
       ("stats", [ Alcotest.test_case "by label" `Quick test_stats_by_label ]);
+      ( "resources",
+        [
+          Alcotest.test_case "delivered and fired released" `Quick
+            test_delivered_and_fired_released;
+          Alcotest.test_case "cancelled timer released" `Quick test_cancelled_timer_released;
+          Alcotest.test_case "send-deliver allocation" `Quick test_send_deliver_allocation;
+        ] );
       ( "queueing",
         [
           Alcotest.test_case "fifo service" `Quick test_service_time_fifo_queueing;

@@ -1,5 +1,24 @@
 module W = Dq_sim.Timer_wheel
+module H = Dq_sim.Event_heap
 module Engine = Dq_sim.Engine
+
+(* Cross the next non-empty slot; its entries as (time, seq, payload),
+   in the run's (time, seq) order. *)
+let advance w ~dummy =
+  let r = H.create_run ~dummy in
+  W.advance w r;
+  let rec consume acc =
+    if r.H.pos = r.H.stop then List.rev acc
+    else begin
+      let i = r.H.pos in
+      let entry = (r.H.r_times.(i), r.H.r_seqs.(i), r.H.r_data.(i)) in
+      H.drop_head r;
+      consume (entry :: acc)
+    end
+  in
+  consume []
+
+let payloads entries = List.map (fun (_, _, x) -> x) entries
 
 (* {2 Direct wheel API} *)
 
@@ -18,25 +37,20 @@ let test_advance_drains_in_slot_batches () =
   Alcotest.(check bool) "a" true (W.add w ~time:5.5 ~seq:0 0);
   Alcotest.(check bool) "b" true (W.add w ~time:5.9 ~seq:1 1);
   Alcotest.(check bool) "c" true (W.add w ~time:9.1 ~seq:2 2);
-  let emitted = ref [] in
-  W.advance w ~drain:(fun ~time:_ ~seq:_ x -> emitted := x :: !emitted);
-  Alcotest.(check (list int)) "slot 5 first" [ 0; 1 ] (List.rev !emitted);
+  Alcotest.(check (list int)) "slot 5 first" [ 0; 1 ] (payloads (advance w ~dummy:(-1)));
   Alcotest.(check bool) "boundary passed slot" true (W.boundary w > 5.9);
-  emitted := [];
-  W.advance w ~drain:(fun ~time:_ ~seq:_ x -> emitted := x :: !emitted);
-  Alcotest.(check (list int)) "slot 9 next" [ 2 ] (List.rev !emitted);
+  Alcotest.(check (list int)) "slot 9 next" [ 2 ] (payloads (advance w ~dummy:(-1)));
   Alcotest.(check int) "empty" 0 (W.length w);
   Alcotest.check_raises "advance on empty" (Invalid_argument "Timer_wheel.advance: empty wheel")
-    (fun () -> W.advance w ~drain:(fun ~time:_ ~seq:_ _ -> ()))
+    (fun () -> ignore (advance w ~dummy:(-1)))
 
 let test_level2_promotion () =
   let w = W.create ~dummy:(-1) () in
   (* past the level-1 rotation (256 slots of 1 ms) but inside level 2 *)
   Alcotest.(check bool) "l2 accept" true (W.add w ~time:1000.25 ~seq:0 7);
   Alcotest.(check bool) "l2 accept 2" true (W.add w ~time:1000.75 ~seq:1 8);
-  let emitted = ref [] in
-  W.advance w ~drain:(fun ~time ~seq x -> emitted := (time, seq, x) :: !emitted);
-  Alcotest.(check int) "both promoted out of one slot" 2 (List.length !emitted);
+  Alcotest.(check (list int)) "both promoted out of one slot, in order" [ 7; 8 ]
+    (payloads (advance w ~dummy:(-1)));
   Alcotest.(check bool) "boundary covers them" true (W.boundary w > 1000.75);
   Alcotest.(check int) "drained" 0 (W.length w)
 
@@ -45,7 +59,7 @@ let test_rebase () =
   ignore (W.add w ~time:3.5 ~seq:0 0);
   Alcotest.check_raises "rebase non-empty" (Invalid_argument "Timer_wheel.rebase: wheel not empty")
     (fun () -> W.rebase w ~now:10.);
-  W.advance w ~drain:(fun ~time:_ ~seq:_ _ -> ());
+  ignore (advance w ~dummy:(-1));
   W.rebase w ~now:5000.3;
   Alcotest.(check bool) "below new boundary rejected" false (W.add w ~time:5000.4 ~seq:1 1);
   Alcotest.(check bool) "new range accepted" true (W.add w ~time:5002.5 ~seq:2 2)
@@ -66,7 +80,9 @@ let test_rolling_horizon () =
   ignore (add ~time:5. 0);
   ignore (add ~time:30_000. 1);
   while W.boundary w < 70_000. && W.length w > 0 do
-    W.advance w ~drain:(fun ~time ~seq:_ x -> ignore (add ~time:(time +. period x) x))
+    List.iter
+      (fun (time, _, x) -> ignore (add ~time:(time +. period x) x))
+      (advance w ~dummy:(-1))
   done;
   Alcotest.(check bool) "add at boundary + 5 ms" true (add ~time:(W.boundary w +. 5.) 0);
   Alcotest.(check bool) "ran past 70 s without emptying" true (W.boundary w >= 70_000.);
@@ -89,7 +105,7 @@ let test_handoff_releases_entries () =
   add_watched w ~weak ~time:1000.5;
   let drained = ref 0 in
   while W.length w > 0 do
-    W.advance w ~drain:(fun ~time:_ ~seq:_ _ -> incr drained)
+    drained := !drained + List.length (advance w ~dummy:Bytes.empty)
   done;
   Alcotest.(check int) "drained once" 1 !drained;
   Gc.full_major ();
@@ -241,10 +257,12 @@ let prop_wheel_never_loses_events =
       let ok = ref true in
       while W.length w > 0 do
         let b = W.boundary w in
-        W.advance w ~drain:(fun ~time ~seq:_ _ ->
+        List.iter
+          (fun (time, _, _) ->
             incr emitted;
             (* nothing below the pre-advance boundary is ever stored *)
             if time < b then ok := false)
+          (advance w ~dummy:(-1))
       done;
       !ok && !emitted = !in_wheel)
 
