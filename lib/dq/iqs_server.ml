@@ -205,9 +205,23 @@ let peer_settled t o peers ~now ~key ~wlc j =
 
 let key_peers t key = if t.config.use_volume_leases then vol_peers t (Key.volume key) else [||]
 
-let owq_invalid t ~key ~wlc =
-  let o = obj t key and peers = key_peers t key and now = now t in
-  Qs.is_write_quorum t.config.oqs ~present:(peer_settled t o peers ~now ~key ~wlc)
+(* Every member is evaluated, in member order, as [Qs.is_write_quorum]
+   does for a counting system: [peer_settled] may queue a delayed
+   invalidation. *)
+let rec count_settled t o peers ~now ~key ~wlc members n =
+  match members with
+  | [] -> n
+  | j :: rest ->
+    let n = if peer_settled t o peers ~now ~key ~wlc j then n + 1 else n in
+    count_settled t o peers ~now ~key ~wlc rest n
+
+(* [o] and [peers] are [key]'s state, as for [peer_settled]. *)
+let owq_invalid t o peers ~key ~wlc =
+  let now = now t in
+  let oqs = t.config.oqs in
+  match Qs.counting_thresholds oqs with
+  | Some (_, write) -> count_settled t o peers ~now ~key ~wlc (Qs.members oqs) 0 >= write
+  | None -> Qs.is_write_quorum oqs ~present:(peer_settled t o peers ~now ~key ~wlc)
 
 let register_loop t key loop =
   match Hashtbl.find_opt t.loops key with
@@ -227,14 +241,19 @@ let poke_loops t key =
   | None -> ()
 
 (* Drive the OQS write quorum to a state where it cannot serve any
-   version of [key] older than [wlc], then call [on_done]. *)
-let ensure_owq_invalid t ~key ~wlc ~on_done =
+   version of [key] older than [wlc], then call [on_done]. [o] and
+   [peers] are [key]'s state: the loop cannot outlive them, since a
+   crash that wipes them also kills its timers and drops [t.loops]. *)
+let ensure_owq_invalid t o peers ~key ~wlc ~on_done =
   let loop_cell = ref None in
+  (* The lease-expiry re-checks armed so far; cancelled when the loop
+     settles, as they could only poke a finished loop. *)
+  let rechecks = ref [] in
   let poke_self () =
     match !loop_cell with Some loop -> Dq_rpc.Retry.poke loop | None -> ()
   in
   let attempt ~round:_ =
-    let o = obj t key and peers = key_peers t key and now = now t in
+    let now = now t in
     let inval_lc = Lc.max wlc o.value.lc in
     let visit j =
       if not (peer_settled t o peers ~now ~key ~wlc j) then begin
@@ -246,15 +265,16 @@ let ensure_owq_invalid t ~key ~wlc ~on_done =
           let vp = peer_in peers j in
           if vp.expires > now then begin
             let delay_ms = Clock.delay_until t.clock vp.expires +. 1. in
-            ignore (Net.timer t.net ~node:t.me ~delay_ms poke_self)
+            rechecks := Net.timer t.net ~node:t.me ~delay_ms poke_self :: !rechecks
           end
         end
       end
     in
     List.iter visit (Qs.members t.config.oqs)
   in
-  let complete () = owq_invalid t ~key ~wlc in
+  let complete () = owq_invalid t o peers ~key ~wlc in
   let finish whom () =
+    List.iter Dq_sim.Engine.cancel !rechecks;
     (match !loop_cell with Some loop -> unregister_loop t key loop | None -> ());
     whom ()
   in
@@ -277,7 +297,8 @@ let handle_write t ~src ~op ~key ~value ~lc =
     o.value <- Versioned.make ~value ~lc;
     t.durable.global_lc <- Lc.max t.durable.global_lc lc
   end;
-  let suppressed = owq_invalid t ~key ~wlc:lc in
+  let peers = key_peers t key in
+  let suppressed = owq_invalid t o peers ~key ~wlc:lc in
   if subscribed t then
     emit t
       (if suppressed then
@@ -285,7 +306,7 @@ let handle_write t ~src ~op ~key ~value ~lc =
        else
          Dq_telemetry.Event.Inval_through
            { node = t.me; peer = src; key = Key.to_string key });
-  ensure_owq_invalid t ~key ~wlc:lc ~on_done:(fun () ->
+  ensure_owq_invalid t o peers ~key ~wlc:lc ~on_done:(fun () ->
       send t src (Message.Iqs_write_ack { op; key; lc }))
 
 (* --- lease grants ----------------------------------------------------- *)

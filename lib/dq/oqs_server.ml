@@ -103,29 +103,45 @@ let vol_from t ~volume ~iqs = vol_in (vols_of t volume) iqs
 
 let obj_from t key ~iqs = obj_in (objs_of t key) iqs
 
-let volume_valid_in t vols ~iqs =
-  (not t.config.use_volume_leases) || (vol_in vols iqs).expires > now t
+(* [now] is the local clock, read once by the caller: virtual time
+   stands still within a handler. *)
+let volume_valid_at t vols ~now ~iqs =
+  (not t.config.use_volume_leases) || (vol_in vols iqs).expires > now
 
-let volume_valid_from t ~volume ~iqs = volume_valid_in t (vols_of t volume) ~iqs
+let volume_valid_from t ~volume ~iqs = volume_valid_at t (vols_of t volume) ~now:(now t) ~iqs
 
 (* [vols] and [objs] are the per-node state of [key]'s volume and of
    [key] itself. *)
-let object_valid_in t vols objs ~iqs =
+let object_valid_at t vols objs ~now ~iqs =
   let o = obj_in objs iqs in
   o.valid
   && ((not t.config.use_volume_leases) || o.epoch = (vol_in vols iqs).epoch)
-  && (Option.is_none t.config.object_lease_ms || o.expires > now t)
+  && (Option.is_none t.config.object_lease_ms || o.expires > now)
 
 let object_valid_from t key ~iqs =
-  object_valid_in t (vols_of t (Key.volume key)) (objs_of t key) ~iqs
+  object_valid_at t (vols_of t (Key.volume key)) (objs_of t key) ~now:(now t) ~iqs
 
-let valid_in t vols objs iqs = volume_valid_in t vols ~iqs && object_valid_in t vols objs ~iqs
+let valid_at t vols objs ~now iqs =
+  volume_valid_at t vols ~now ~iqs && object_valid_at t vols objs ~now ~iqs
+
+(* Every member is evaluated, in member order, as [Qs.is_read_quorum]
+   does for a counting system: [valid_at] creates missing entries. *)
+let rec count_valid t vols objs ~now members n =
+  match members with
+  | [] -> n
+  | i :: rest -> count_valid t vols objs ~now rest (if valid_at t vols objs ~now i then n + 1 else n)
 
 (* Condition C: some IQS read quorum from which everything is valid.
-   One lookup for the key and one for its volume serve every member. *)
-let is_locally_valid t key =
-  let vols = vols_of t (Key.volume key) and objs = objs_of t key in
-  Qs.is_read_quorum t.config.iqs ~present:(valid_in t vols objs)
+   [vols] and [objs] are the per-node state of the key's volume and of
+   the key, looked up once for every member. *)
+let locally_valid_in t vols objs =
+  let now = now t in
+  let iqs = t.config.iqs in
+  match Qs.counting_thresholds iqs with
+  | Some (read, _) -> count_valid t vols objs ~now (Qs.members iqs) 0 >= read
+  | None -> Qs.is_read_quorum iqs ~present:(valid_at t vols objs ~now)
+
+let is_locally_valid t key = locally_valid_in t (vols_of t (Key.volume key)) (objs_of t key)
 
 let cached t key = Obj_map.get t.cache.values key
 
@@ -256,10 +272,13 @@ let start_ensure t key =
      member. Keeping all volume leases fresh means writes invalidate
      this node directly instead of queueing delayed invalidations, so a
      typical read miss resolves in a single renewal round; the extra
-     renewal messages are amortized over every object in the volume. *)
+     renewal messages are amortized over every object in the volume.
+     [vols] and [objs] serve the whole loop: a crash that replaces the
+     cache also kills its timers and drops [t.ensuring]. *)
+  let volume = Key.volume key in
+  let vols = vols_of t volume and objs = objs_of t key in
   let attempt ~round:_ =
-    let volume = Key.volume key in
-    let vols = vols_of t volume and objs = objs_of t key in
+    let now = now t in
     let quorum =
       Dq_rpc.Qrpc.pick_read_targets ?strategy:t.config.iqs_read_strategy ~rng:t.rng
         ~system:t.config.iqs ~prefer:t.me ()
@@ -268,7 +287,7 @@ let start_ensure t key =
       let in_quorum = List.mem i quorum in
       let vol_fresh =
         (not t.config.use_volume_leases)
-        || (vol_in vols i).expires > now t +. t.config.renew_margin_ms
+        || (vol_in vols i).expires > now +. t.config.renew_margin_ms
       in
       if (not vol_fresh) && subscribed t then
         emit t (Dq_telemetry.Event.Lease_expired { node = t.me; peer = i; volume });
@@ -276,29 +295,29 @@ let start_ensure t key =
          so the grant arrives under a still-valid lease. The margin is
          capped for very short leases. *)
       let obj_ok =
-        object_valid_in t vols objs ~iqs:i
+        object_valid_at t vols objs ~now ~iqs:i
         &&
         match t.config.object_lease_ms with
         | None -> true
         | Some lease ->
           let margin = Float.min t.config.renew_margin_ms (lease /. 4.) in
-          (obj_in objs i).expires > now t +. margin
+          (obj_in objs i).expires > now +. margin
       in
       if not vol_fresh then
         send t i
           (Message.Vol_renew_req
              {
                volume;
-               t0 = now t;
+               t0 = now;
                want = (if in_quorum && not obj_ok then Some key else None);
                epoch = (vol_in vols i).epoch;
              })
       else if in_quorum && not obj_ok then
-        send t i (Message.Obj_renew_req { key; t0 = now t })
+        send t i (Message.Obj_renew_req { key; t0 = now })
     in
     List.iter visit (Qs.members t.config.iqs)
   in
-  let complete () = is_locally_valid t key in
+  let complete () = locally_valid_in t vols objs in
   let on_complete () =
     match Hashtbl.find_opt t.ensuring key with
     | Some e ->

@@ -284,7 +284,7 @@ let send t ~src ~dst msg =
     let local = src = dst in
     let label = t.classify msg in
     let bytes = t.size_of msg in
-    Dq_telemetry.Metrics.record_msg t.stats ~label ~local ~bytes ();
+    Dq_telemetry.Metrics.record_msg t.stats ~label ~local ~bytes;
     (* Telemetry must not perturb the RNG draw sequence: the loss draw
        happens only on reachable links and the duplicate draw only on
        non-lost messages, exactly as before the bus existed. *)
@@ -299,10 +299,17 @@ let send t ~src ~dst msg =
         (* Gray degradation folds into the one loss draw and adds a
            deterministic delay, so undegraded runs draw identically. *)
         let deg_src = t.nodes.(src).degrade and deg_dst = t.nodes.(dst).degrade in
-        let loss = fold_degrade_loss (fold_degrade_loss faults.loss deg_src) deg_dst in
-        if not (Dq_util.Rng.bernoulli t.rng loss) then begin
+        let loss =
+          match (deg_src, deg_dst) with
+          | None, None -> faults.loss
+          | _ -> fold_degrade_loss (fold_degrade_loss faults.loss deg_src) deg_dst
+        in
+        (* Both draws are [Rng.bernoulli]'s, written out so that no
+           probability is boxed for a call. *)
+        if not (loss > 0. && (loss >= 1. || Dq_util.Rng.float t.rng 1.0 < loss)) then begin
           schedule_arrival t ~src ~dst msg faults deg_src deg_dst;
-          if Dq_util.Rng.bernoulli t.rng faults.duplicate then
+          let dup = faults.duplicate in
+          if dup > 0. && (dup >= 1. || Dq_util.Rng.float t.rng 1.0 < dup) then
             schedule_arrival t ~src ~dst msg faults deg_src deg_dst
         end
         else if subscribed then

@@ -6,11 +6,27 @@ type spec =
   | Weighted of { votes : int array; read : int; write : int }
       (* votes.(i) belongs to members.(i) *)
 
-type t = { name : string; members : int array; spec : spec }
+(* [member_list] and [counting] are derived from [members] and [spec]
+   once, so that the hot paths that read them allocate nothing. *)
+type t = {
+  name : string;
+  members : int array;
+  member_list : int list;
+  spec : spec;
+  counting : (int * int) option;
+}
+
+let make ~name members spec =
+  let counting =
+    match spec with
+    | Threshold { read; write } -> Some (read, write)
+    | Grid _ | Weighted _ -> None
+  in
+  { name; members = Array.of_list members; member_list = members; spec; counting }
 
 let name t = t.name
 
-let members t = Array.to_list t.members
+let members t = t.member_list
 
 let size t = Array.length t.members
 
@@ -230,7 +246,7 @@ let threshold ~name ~members ~read ~write =
     invalid_arg "Quorum_system.threshold: read and write quorums must intersect";
   if 2 * write <= n then
     invalid_arg "Quorum_system.threshold: write quorums must pairwise intersect";
-  { name; members = Array.of_list members; spec = Threshold { read; write } }
+  make ~name members (Threshold { read; write })
 
 let majority members =
   let n = List.length members in
@@ -245,17 +261,9 @@ let grid ~rows ~cols members =
   let n = List.length members in
   if rows < 1 || cols < 1 || rows * cols <> n then
     invalid_arg "Quorum_system.grid: rows * cols must equal the member count";
-  {
-    name = Printf.sprintf "grid(%dx%d)" rows cols;
-    members = Array.of_list members;
-    spec = Grid { rows; cols };
-  }
+  make ~name:(Printf.sprintf "grid(%dx%d)" rows cols) members (Grid { rows; cols })
 
-let counting_thresholds t =
-  match t.spec with
-  | Threshold { read; write } -> Some (read, write)
-  | Grid _ -> None
-  | Weighted _ -> None
+let counting_thresholds t = t.counting
 
 let weighted ~name ~members ~read ~write =
   let votes = Array.of_list (List.map snd members) in
@@ -272,7 +280,7 @@ let weighted ~name ~members ~read ~write =
     invalid_arg "Quorum_system.weighted: read and write quorums must intersect";
   if 2 * write <= total then
     invalid_arg "Quorum_system.weighted: write quorums must pairwise intersect";
-  { name; members = Array.of_list ids; spec = Weighted { votes; read; write } }
+  make ~name ids (Weighted { votes; read; write })
 
 let validate t =
   if size t > enumeration_bound then

@@ -26,6 +26,8 @@ type mode = Read | Write
 val name : t -> string
 
 val members : t -> int list
+(** In construction order. The list is built once, so reading it
+    allocates nothing. *)
 
 val size : t -> int
 

@@ -2,15 +2,19 @@
    delivery. Its time and sequence number live only in the unboxed key
    arrays of the store that holds it. An event that has fired or been
    cancelled has the action [dead]; a delivery has no handle, so it can
-   neither be cancelled nor seen again once it has fired. *)
+   neither be cancelled nor seen again once it has fired. A cancellable
+   event keeps [pos], the timer-wheel cell it was last placed in ([-1]:
+   never in the wheel), and its engine, so that [cancel] takes it out
+   of the wheel at once. *)
 type event =
-  | Thunk of { mutable action : unit -> unit; live : int ref }
+  | Thunk of { mutable action : unit -> unit; mutable pos : int; engine : t }
   | Guarded : {
       guard : 's -> int -> bool;
       state : 's;
       stamp : int;
       mutable action : unit -> unit;
-      live : int ref;
+      mutable pos : int;
+      engine : t;
     }
       -> event
   | Delivery : {
@@ -20,11 +24,6 @@ type event =
       msg : 'm;
     }
       -> event
-
-type handle = event
-
-(* The action of a fired or cancelled event. *)
-let dead () = ()
 
 (* Pending events live in three places:
    - the hierarchical timer wheel, O(1) insert for the dense
@@ -44,11 +43,12 @@ let dead () = ()
    boundary low keeps more new events in the wheel. The wheel is
    re-anchored only when the run is consumed: re-anchoring can move
    [boundary] back, and a wheel slot must never come to hold an event
-   due before a run entry. *)
-type t = {
+   due before a run entry. A cancelled event leaves the wheel at once;
+   in the run or the heap it is dropped when it reaches the front. *)
+and t = {
   mutable clock : float;
   mutable next_seq : int;
-  live : int ref; (* pending (not cancelled, not fired) events *)
+  mutable live : int; (* pending (not cancelled, not fired) events *)
   heap : event Event_heap.t;
   run : event Event_heap.run;
   wheel : event Timer_wheel.t;
@@ -58,15 +58,26 @@ type t = {
   bus : Dq_telemetry.Bus.t;
 }
 
+type handle = event
+
+(* The action of a fired or cancelled event. *)
+let dead () = ()
+
+let locate ev pos =
+  match ev with
+  | Thunk r -> r.pos <- pos
+  | Guarded r -> r.pos <- pos
+  | Delivery _ -> ()
+
 let create ?(seed = 1L) () =
   (* The dummy only fills vacated store cells; it is never scheduled. *)
-  let dummy = Thunk { action = dead; live = ref 0 } in
-  let wheel = Timer_wheel.create ~dummy () in
+  let dummy = Delivery { handler = (fun ~src:_ ~dst:_ () -> ()); src = 0; dst = 0; msg = () } in
+  let wheel = Timer_wheel.create ~dummy ~locate () in
   let t =
     {
       clock = 0.;
       next_seq = 0;
-      live = ref 0;
+      live = 0;
       heap = Event_heap.create ~dummy;
       run = Event_heap.create_run ~dummy;
       wheel;
@@ -92,7 +103,7 @@ let events_executed t = t.fired
 let enqueue t ~time ev =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  incr t.live;
+  t.live <- t.live + 1;
   if Timer_wheel.length t.wheel = 0 && t.run.pos = t.run.stop then begin
     Timer_wheel.rebase t.wheel ~now:t.clock;
     t.boundary <- Timer_wheel.boundary t.wheel
@@ -103,7 +114,7 @@ let schedule_at t ~time f =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_at: time %g is before now %g" time t.clock);
-  let ev = Thunk { action = f; live = t.live } in
+  let ev = Thunk { action = f; pos = -1; engine = t } in
   enqueue t ~time ev;
   ev
 
@@ -113,7 +124,7 @@ let schedule t ~delay f =
 
 let schedule_guarded t ~delay ~guard state stamp f =
   if delay < 0. then invalid_arg "Engine.schedule_guarded: negative delay";
-  let ev = Guarded { guard; state; stamp; action = f; live = t.live } in
+  let ev = Guarded { guard; state; stamp; action = f; pos = -1; engine = t } in
   enqueue t ~time:(t.clock +. delay) ev;
   ev
 
@@ -122,19 +133,23 @@ let schedule_delivery t ~delay handler ~src ~dst msg =
   enqueue t ~time:(t.clock +. delay) (Delivery { handler; src; dst; msg })
 
 (* [live] is decremented exactly once per event: at cancel time, or when
-   the event fires. A cancelled event stays queued until its due time,
-   so it drops its action now: whatever the closure holds can be
-   collected at once. *)
-let cancel = function
+   the event fires. A cancelled event leaves the wheel now; one already
+   in the run or the heap stays queued until it reaches the front, so it
+   drops its action now: whatever the closure holds can be collected at
+   once. *)
+let cancel ev =
+  match ev with
   | Thunk r ->
     if r.action != dead then begin
       r.action <- dead;
-      decr r.live
+      r.engine.live <- r.engine.live - 1;
+      Timer_wheel.remove r.engine.wheel ~pos:r.pos ev
     end
   | Guarded r ->
     if r.action != dead then begin
       r.action <- dead;
-      decr r.live
+      r.engine.live <- r.engine.live - 1;
+      Timer_wheel.remove r.engine.wheel ~pos:r.pos ev
     end
   | Delivery _ -> ()
 
@@ -142,7 +157,7 @@ let is_pending = function
   | Thunk { action; _ } | Guarded { action; _ } -> action != dead
   | Delivery _ -> true
 
-let pending_events t = !(t.live)
+let pending_events t = t.live
 
 (* Once the run is consumed, cross the next wheel slot unless the heap
    top already precedes everything the wheel holds. *)
@@ -177,7 +192,7 @@ let front t =
 (* Fire a live event whose store cell has been vacated and whose time
    is already on the clock. *)
 let fire t ev =
-  decr t.live;
+  t.live <- t.live - 1;
   t.fired <- t.fired + 1;
   match ev with
   | Thunk r ->

@@ -55,7 +55,10 @@ val schedule_delivery :
 val cancel : handle -> unit
 (** Cancelling a fired or already-cancelled event is a no-op. A
     cancelled event releases its action at once, so the closure and
-    what it captures can be collected before the event's due time. *)
+    what it captures can be collected before the event's due time. An
+    event still in the timer wheel also leaves it at once, in O(1), so
+    it costs nothing more; one already queued to fire soon is dropped
+    when it reaches the front. *)
 
 val is_pending : handle -> bool
 

@@ -23,7 +23,14 @@
    schedule into the wheel allocates nothing in steady state. A slot
    handed off (promoted or drained) resets its entries to [dummy]: the
    buffer outlives the events, and must not keep a fired event (and
-   whatever its closure holds) reachable. *)
+   whatever its closure holds) reachable.
+
+   Every placement of an entry is reported to [locate] as a cell
+   number: [(index lsl 9) lor ring_cell], where [ring_cell] is the slot
+   in level 1 (0-255) or 256 + the slot in level 2. [remove] takes that
+   number back and swap-removes the entry in O(1) if the cell still
+   holds it. Order inside a slot carries no meaning until [advance]
+   sorts it, so the swap changes nothing observable. *)
 
 type 'a slot = {
   mutable times : float array;
@@ -34,6 +41,7 @@ type 'a slot = {
 
 type 'a t = {
   dummy : 'a;
+  locate : 'a -> int -> unit;
   slot_ms : float;
   unused : 'a slot; (* shared by every slot never pushed to *)
   l1 : 'a slot array;
@@ -47,6 +55,11 @@ type 'a t = {
 
 let l1_slots = 256
 let l2_slots = 256 (* a power of two: rotation [r] sits in slot [r land (l2_slots - 1)] *)
+
+(* Cell numbers: see the header. *)
+let cell_bits = 9 (* l1_slots + l2_slots = 2^9 ring cells *)
+
+let l2_cells = l1_slots (* ring cells at or above it are in level 2 *)
 
 let fresh_slot () = { times = [||]; seqs = [||]; data = [||]; len = 0 }
 
@@ -77,18 +90,22 @@ let writable_slot w ring idx =
   end;
   s
 
-let slot_push w ring idx ~time ~seq x =
+(* [cell] is [idx] for level 1 and [l2_cells + idx] for level 2. *)
+let slot_push w ring idx ~cell ~time ~seq x =
   let s = writable_slot w ring idx in
-  s.times.(s.len) <- time;
-  s.seqs.(s.len) <- seq;
-  s.data.(s.len) <- x;
-  s.len <- s.len + 1
+  let i = s.len in
+  s.times.(i) <- time;
+  s.seqs.(i) <- seq;
+  s.data.(i) <- x;
+  s.len <- i + 1;
+  w.locate x ((i lsl cell_bits) lor cell)
 
-let create ?(slot_ms = 1.0) ~dummy () =
+let create ?(slot_ms = 1.0) ~dummy ~locate () =
   if slot_ms <= 0. then invalid_arg "Timer_wheel.create: slot_ms must be positive";
   let unused = fresh_slot () in
   {
     dummy;
+    locate;
     slot_ms;
     unused;
     l1 = Array.make l1_slots unused;
@@ -133,7 +150,7 @@ let add t ~time ~seq x =
       let idx = int_of_float ((time -. t.base1) /. t.slot_ms) in
       if idx <= t.cursor || idx >= l1_slots then false
       else begin
-        slot_push t t.l1 idx ~time ~seq x;
+        slot_push t t.l1 idx ~cell:idx ~time ~seq x;
         t.count <- t.count + 1;
         true
       end
@@ -143,7 +160,8 @@ let add t ~time ~seq x =
       let r = int_of_float ((time -. t.base2) /. rot) in
       if r < t.next2 || r >= t.next2 + l2_slots then false
       else begin
-        slot_push t t.l2 (r land (l2_slots - 1)) ~time ~seq x;
+        let idx = r land (l2_slots - 1) in
+        slot_push t t.l2 idx ~cell:(l2_cells + idx) ~time ~seq x;
         t.count <- t.count + 1;
         true
       end
@@ -167,13 +185,37 @@ let promote t =
     let idx = int_of_float ((time -. t.base1) /. t.slot_ms) in
     let idx = Stdlib.min (l1_slots - 1) (Stdlib.max 0 idx) in
     let d = writable_slot t t.l1 idx in
-    d.times.(d.len) <- time;
-    d.seqs.(d.len) <- s.seqs.(i);
-    d.data.(d.len) <- s.data.(i);
-    d.len <- d.len + 1
+    let j = d.len and x = s.data.(i) in
+    d.times.(j) <- time;
+    d.seqs.(j) <- s.seqs.(i);
+    d.data.(j) <- x;
+    d.len <- j + 1;
+    t.locate x ((j lsl cell_bits) lor idx)
   done;
   Array.fill s.data 0 s.len t.dummy;
   s.len <- 0
+
+(* A stale [pos] (the entry was promoted, drained, or removed) finds
+   another entry, the dummy or an out-of-range index in its cell, and
+   the call does nothing. *)
+let remove t ~pos x =
+  if pos >= 0 then begin
+    let cell = pos land ((1 lsl cell_bits) - 1) and i = pos lsr cell_bits in
+    let s = if cell < l2_cells then t.l1.(cell) else t.l2.(cell - l2_cells) in
+    if i < s.len && s.data.(i) == x then begin
+      let last = s.len - 1 in
+      if i < last then begin
+        let moved = s.data.(last) in
+        s.times.(i) <- s.times.(last);
+        s.seqs.(i) <- s.seqs.(last);
+        s.data.(i) <- moved;
+        t.locate moved pos
+      end;
+      s.data.(last) <- t.dummy;
+      s.len <- last;
+      t.count <- t.count - 1
+    end
+  end
 
 (* Advance the boundary past the next non-empty slot and load its
    events into [run], which sorts them. Requires [length t > 0]. *)

@@ -21,13 +21,16 @@
 
 type 'a t
 
-val create : ?slot_ms:float -> dummy:'a -> unit -> 'a t
+val create : ?slot_ms:float -> dummy:'a -> locate:('a -> int -> unit) -> unit -> 'a t
 (** [dummy] fills vacated slot cells (never returned). [slot_ms]
-    must be positive. *)
+    must be positive. The wheel calls [locate x pos] whenever it places
+    [x] in a cell: on {!add}, when a promotion moves it, and when
+    {!remove} moves it into the hole it leaves. [pos] (non-negative) is
+    the cell's number for {!remove}; the owner keeps the latest one. *)
 
 val length : 'a t -> int
-(** Events currently stored (including ones logically cancelled by the
-    owner — the wheel does not know about cancellation). *)
+(** Events currently stored: those added, less those {!remove}d or
+    loaded into a run by {!advance}. *)
 
 val boundary : 'a t -> float
 (** Every stored event has [time >= boundary t]: anything strictly
@@ -40,6 +43,14 @@ val horizon : 'a t -> float
 val add : 'a t -> time:float -> seq:int -> 'a -> bool
 (** Store an event; [false] means the wheel cannot hold it (keep it in
     the heap). Never places an event in a slot later than its time. *)
+
+val remove : 'a t -> pos:int -> 'a -> unit
+(** [remove t ~pos x] deletes [x] in O(1) if the cell [pos] (the last
+    one reported to [locate] for [x]) still holds it, comparing with
+    [==]. Otherwise [x] has already left the wheel (loaded into a run
+    by {!advance}, or removed) and the call does nothing; so does any
+    negative [pos]. Order within a slot is restored by {!advance}, so a
+    removal leaves the order of the other events unchanged. *)
 
 val advance : 'a t -> 'a Event_heap.run -> unit
 (** Move {!boundary} forward past the next non-empty slot and load that

@@ -23,13 +23,13 @@ let resize t =
         chain)
     old
 
-let find_opt t k =
-  let chain = t.buckets.(bucket_index t k) in
-  let rec scan = function
-    | [] -> None
-    | (k', v) :: rest -> if t.equal k k' then Some v else scan rest
-  in
-  scan chain
+(* Lookups scan a bucket with toplevel functions, so they allocate no
+   closure. *)
+let rec find_in equal k = function
+  | [] -> None
+  | (k', v) :: rest -> if equal k k' then Some v else find_in equal k rest
+
+let find_opt t k = find_in t.equal k t.buckets.(bucket_index t k)
 
 let add_new t k v =
   if t.size >= 2 * Array.length t.buckets then resize t;
@@ -39,15 +39,14 @@ let add_new t k v =
 
 (* The replica hot path calls [get] once per request; a direct bucket
    scan keeps the hit case allocation-free (no option box). *)
-let get t k =
-  let rec scan = function
-    | [] ->
-      let v = t.default k in
-      add_new t k v;
-      v
-    | (k', v) :: rest -> if t.equal k k' then v else scan rest
-  in
-  scan t.buckets.(bucket_index t k)
+let rec get_in t k = function
+  | [] ->
+    let v = t.default k in
+    add_new t k v;
+    v
+  | (k', v) :: rest -> if t.equal k k' then v else get_in t k rest
+
+let get t k = get_in t k t.buckets.(bucket_index t k)
 
 let set t k v =
   let i = bucket_index t k in

@@ -47,7 +47,7 @@ let rec scan labels label = function
       labels.first_seen <- labels.first_seen @ [ (label, c) ];
       c)
 
-let record_msg t ~label ~local ?(bytes = 0) () =
+let record_msg t ~label ~local ~bytes =
   let c = scan t.labels label t.labels.first_seen in
   if local then begin
     t.local <- t.local + 1;
@@ -134,7 +134,7 @@ let sink t : Bus.sink =
   let k = Event.kind ev in
   t.events.(k) <- t.events.(k) + 1;
   match ev with
-  | Event.Msg_sent { label; bytes; local; _ } -> record_msg t ~label ~local ~bytes ()
+  | Event.Msg_sent { label; bytes; local; _ } -> record_msg t ~label ~local ~bytes
   | Event.Op_complete { kind; latency_ms; _ } -> record_latency t ~kind latency_ms
   | _ -> ()
 

@@ -13,9 +13,9 @@ type t
 
 val create : unit -> t
 
-val record_msg : t -> label:string -> local:bool -> ?bytes:int -> unit -> unit
-(** Direct message accounting ([bytes] defaults to 0). Remote and local
-    messages are tallied separately, per label. *)
+val record_msg : t -> label:string -> local:bool -> bytes:int -> unit
+(** Direct message accounting. Remote and local messages are tallied
+    separately, per label; [bytes] counts toward remote messages only. *)
 
 val record_latency : t -> kind:string -> float -> unit
 (** Feed an operation latency (ms) into the [kind] histogram

@@ -107,6 +107,47 @@ let test_write_completes_despite_crashed_oqs_node () =
       (latency < (2.5 *. lease) +. 1000.)
   | None -> Alcotest.fail "write never completed"
 
+(* The lease-expiry re-check is what unblocks a write whose reader
+   crashed: each IQS node's write loop settles about 1 ms after the
+   crashed node's lease expires there, not at its next retransmission. *)
+let test_write_unblocks_at_lease_expiry () =
+  let engine, topology, cluster, api = setup () in
+  let crashed = 4 in
+  let volume = Key.volume key in
+  (* per IQS node: loops active just before and just after the expiry *)
+  let probes = ref [] in
+  let written = ref false in
+  api.R.submit_read ~client:client_a ~server:crashed key (fun _ ->
+      api.R.crash_server crashed;
+      api.R.submit_write ~client:client_b ~server:1 key "v2" (fun _ -> written := true);
+      (* once the write has reached the IQS nodes *)
+      ignore
+        (Engine.schedule engine ~delay:300. (fun () ->
+             List.iter
+               (fun server ->
+                 match (Cluster.iqs_server cluster server, Cluster.server_clock cluster server) with
+                 | Some iqs, Some clock when Iqs.active_write_loops iqs > 0 ->
+                   let expiry =
+                     Dq_sim.Clock.delay_until clock (Iqs.lease_expires iqs ~volume ~oqs:crashed)
+                   in
+                   let at delay = Engine.schedule engine ~delay (fun () ->
+                       probes := (server, delay -. expiry, Iqs.active_write_loops iqs) :: !probes)
+                   in
+                   ignore (at (expiry -. 0.5));
+                   ignore (at (expiry +. 1.5))
+                 | _ -> ())
+               (Topology.servers topology))));
+  Engine.run ~until:60_000. engine;
+  Alcotest.(check bool) "write completed" true !written;
+  let probes = List.rev !probes in
+  Alcotest.(check bool) "some IQS node was blocked" true (probes <> []);
+  List.iter
+    (fun (server, offset, loops) ->
+      let what = Printf.sprintf "IQS %d, %+.1f ms from the lease expiry" server offset in
+      if offset < 0. then Alcotest.(check bool) (what ^ ": still blocked") true (loops > 0)
+      else Alcotest.(check int) (what ^ ": settled") 0 loops)
+    probes
+
 let test_delayed_invalidation_via_partition () =
   (* Partition an OQS node that holds valid leases; a write then
      completes after the lease expires by queueing a delayed
@@ -243,6 +284,36 @@ let test_write_suppress_and_through_counts () =
     Alcotest.(check bool) "write after read invalidates" true (t > 0)
   | _ -> Alcotest.fail "missing observations"
 
+let write_loops cluster topology =
+  List.fold_left
+    (fun n server ->
+      match Cluster.iqs_server cluster server with
+      | Some iqs -> n + Iqs.active_write_loops iqs
+      | None -> n)
+    0 (Topology.servers topology)
+
+(* A write loop that settles on acknowledgements cancels the
+   lease-expiry re-checks it armed for the readers it invalidated: once
+   the acks are in, the write has left nothing pending in the engine. *)
+let test_acked_write_leaves_no_timers () =
+  let engine, topology, cluster, api = setup () in
+  let before = ref (-1) and after = ref (-1) and loops = ref (-1) in
+  (* Each count is taken by a probe event 100 ms after an operation
+     completes, once its messages are delivered; a firing event is no
+     longer pending itself. *)
+  let probe f = ignore (Engine.schedule engine ~delay:100. f) in
+  api.R.submit_read ~client:client_a ~server:0 key (fun _ ->
+      api.R.submit_read ~client:client_b ~server:1 key (fun _ ->
+          probe (fun () ->
+              before := Engine.pending_events engine;
+              api.R.submit_write ~client:client_a ~server:0 key "w" (fun _ ->
+                  probe (fun () ->
+                      loops := write_loops cluster topology;
+                      after := Engine.pending_events engine)))));
+  Engine.run ~until:60_000. engine;
+  Alcotest.(check int) "every write loop settled" 0 !loops;
+  Alcotest.(check int) "pending as before the write" !before !after
+
 let test_reads_survive_iqs_partition_under_leases () =
   (* With valid leases in hand, an OQS node keeps serving local reads
      even when every IQS node is unreachable - the availability payoff
@@ -348,11 +419,15 @@ let () =
           Alcotest.test_case "proactive renewal" `Quick test_proactive_renewal_keeps_hits;
           Alcotest.test_case "suppress and through" `Quick
             test_write_suppress_and_through_counts;
+          Alcotest.test_case "acked write leaves no timers" `Quick
+            test_acked_write_leaves_no_timers;
         ] );
       ( "failures",
         [
           Alcotest.test_case "write unblocked by lease expiry" `Quick
             test_write_completes_despite_crashed_oqs_node;
+          Alcotest.test_case "write unblocked within 1 ms of lease expiry" `Quick
+            test_write_unblocks_at_lease_expiry;
           Alcotest.test_case "delayed invalidations" `Quick
             test_delayed_invalidation_via_partition;
           Alcotest.test_case "epoch overflow" `Quick

@@ -90,6 +90,43 @@ let test_fired_event_released () =
   Engine.run e;
   Alcotest.(check bool) "engine still runs" true !fired
 
+(* A cancelled event leaves the timer wheel at once: once the test
+   drops its handle, nothing holds the event. It is scheduled and
+   cancelled in a separate function so no local root of the test holds
+   it. *)
+let[@inline never] schedule_cancelled e ~weak ~delay =
+  let h = Engine.schedule e ~delay ignore in
+  Weak.set weak 0 (Some h);
+  Engine.cancel h
+
+(* Removal fills the hole with the slot's last entry; the moved
+   neighbour still fires at its (time, seq). In each slot below, the
+   cancelled event is the first entry and the last one is due first;
+   "a" and "b" share an instant, so only their seq orders them. *)
+let test_cancelled_timer_leaves_wheel () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note tag () = log := (tag, Engine.now e) :: !log in
+  let level1 = Weak.create 1 and level2 = Weak.create 1 in
+  schedule_cancelled e ~weak:level1 ~delay:5.2;
+  ignore (Engine.schedule e ~delay:5.5 (note "a"));
+  ignore (Engine.schedule e ~delay:5.5 (note "b"));
+  ignore (Engine.schedule e ~delay:5.1 (note "c"));
+  (* 1 000 ms out: a level-2 slot, promoted before it fires *)
+  schedule_cancelled e ~weak:level2 ~delay:1000.2;
+  ignore (Engine.schedule e ~delay:1000.6 (note "d"));
+  ignore (Engine.schedule e ~delay:1000.1 (note "e"));
+  Alcotest.(check int) "five pending" 5 (Engine.pending_events e);
+  Gc.full_major ();
+  Alcotest.(check bool) "level-1 event gone from the wheel" false (Weak.check level1 0);
+  Alcotest.(check bool) "level-2 event gone from the wheel" false (Weak.check level2 0);
+  Engine.run e;
+  Alcotest.(check (list (pair string (float 0.))))
+    "neighbours fire in (time, seq) order"
+    [ ("c", 5.1); ("a", 5.5); ("b", 5.5); ("e", 1000.1); ("d", 1000.6) ]
+    (List.rev !log);
+  Alcotest.(check int) "only live events executed" 5 (Engine.events_executed e)
+
 (* An event the engine has already loaded into its sorted run (it
    shares a wheel slot with the event now firing) can still be
    cancelled, and then neither fires nor counts. *)
@@ -311,15 +348,19 @@ let prop_events_fire_in_order =
 
    A program schedules events at t = 0; each firing performs the next
    reaction in a cycle: schedule more events or cancel an earlier one,
-   which may have fired already, or sit in the heap, the wheel or the
-   sorted run. The reference is a plain list of pending events searched
-   for the least (time, seq) at every step. *)
+   which may have fired already, or sit in the heap, the wheel (either
+   level) or the sorted run. [Cancel_recent k] cancels the k-th latest
+   event, which is likely still in the wheel, so that removals move
+   slot neighbours. The reference is a plain list of pending events
+   searched for the least (time, seq) at every step. Each firing also
+   records the pending count once its reactions are done. *)
 
-type reaction = Spawn of float | Cancel of int
+type reaction = Spawn of float | Cancel of int | Cancel_recent of int
 
 type sched = {
   now : unit -> float;
   arm : delay:float -> (unit -> unit) -> unit -> unit; (* returns the canceller *)
+  pending : unit -> int;
   drain : unit -> unit;
 }
 
@@ -331,6 +372,7 @@ let engine_sched () =
       (fun ~delay f ->
         let h = Engine.schedule e ~delay f in
         fun () -> Engine.cancel h);
+    pending = (fun () -> Engine.pending_events e);
     drain = (fun () -> Engine.run e);
   }
 
@@ -364,6 +406,7 @@ let model_sched () =
         pending := (!clock +. delay, !seq, live, f) :: !pending;
         incr seq;
         fun () -> live := false);
+    pending = (fun () -> List.length (List.filter (fun (_, _, live, _) -> !live) !pending));
     drain;
   }
 
@@ -374,14 +417,16 @@ let interpret sched (initial, reactions) =
     incr count;
     let cancel =
       sched.arm ~delay (fun () ->
-          fired := (id, sched.now ()) :: !fired;
+          let now = sched.now () in
           let k = !firings in
           incr firings;
           List.iter
             (function
               | Spawn d -> if !count < 300 then spawn d
-              | Cancel j -> !cancels.(j mod !count) ())
-            reactions.(k mod Array.length reactions))
+              | Cancel j -> !cancels.(j mod !count) ()
+              | Cancel_recent j -> !cancels.(!count - 1 - (j mod !count)) ())
+            reactions.(k mod Array.length reactions);
+          fired := (id, now, sched.pending ()) :: !fired)
     in
     if id >= Array.length !cancels then
       cancels := Array.append !cancels (Array.make (max 16 id) ignore);
@@ -411,10 +456,19 @@ let gen_program =
       (list_size (int_range 1 20) gen_delay)
       (array_size (int_range 1 8)
          (list_size (int_range 0 3)
-            (frequency [ (3, map (fun d -> Spawn d) gen_delay); (1, map (fun j -> Cancel j) nat) ]))))
+            (frequency
+               [
+                 (3, map (fun d -> Spawn d) gen_delay);
+                 (1, map (fun j -> Cancel j) nat);
+                 (1, map (fun j -> Cancel_recent j) (int_range 0 4));
+               ]))))
 
 let print_program (initial, reactions) =
-  let reaction = function Spawn d -> Printf.sprintf "+%g" d | Cancel j -> Printf.sprintf "x%d" j in
+  let reaction = function
+    | Spawn d -> Printf.sprintf "+%g" d
+    | Cancel j -> Printf.sprintf "x%d" j
+    | Cancel_recent j -> Printf.sprintf "r%d" j
+  in
   Printf.sprintf "initial [%s]; reactions [%s]"
     (String.concat "; " (List.map string_of_float initial))
     (String.concat " | "
@@ -442,6 +496,8 @@ let () =
           Alcotest.test_case "delivery" `Quick test_delivery;
           Alcotest.test_case "dispatch allocation" `Quick test_dispatch_allocation;
           Alcotest.test_case "cancel releases closure" `Quick test_cancel_releases_closure;
+          Alcotest.test_case "cancelled wheel timer leaves the wheel" `Quick
+            test_cancelled_timer_leaves_wheel;
           Alcotest.test_case "fired event released" `Quick test_fired_event_released;
           Alcotest.test_case "pending count" `Quick test_pending_count;
           Alcotest.test_case "run until" `Quick test_run_until;

@@ -115,9 +115,9 @@ let test_sink_does_not_perturb_run () =
 
 let test_metrics_by_label () =
   let m = Metrics.create () in
-  Metrics.record_msg m ~label:"a" ~local:false ~bytes:10 ();
-  Metrics.record_msg m ~label:"a" ~local:true ();
-  Metrics.record_msg m ~label:"b" ~local:false ~bytes:5 ();
+  Metrics.record_msg m ~label:"a" ~local:false ~bytes:10;
+  Metrics.record_msg m ~label:"a" ~local:true ~bytes:0;
+  Metrics.record_msg m ~label:"b" ~local:false ~bytes:5;
   Alcotest.(check int) "remote total" 2 (Metrics.remote_total m);
   Alcotest.(check int) "local total" 1 (Metrics.local_total m);
   Alcotest.(check int) "remote bytes" 15 (Metrics.remote_bytes m);
@@ -137,17 +137,17 @@ let test_metrics_by_label () =
 let test_metrics_equal_labels_share_a_cell () =
   let m = Metrics.create () in
   let built = String.concat "" [ "in"; "val" ] in
-  Metrics.record_msg m ~label:"inval" ~local:false ~bytes:3 ();
-  Metrics.record_msg m ~label:built ~local:false ~bytes:4 ();
-  Metrics.record_msg m ~label:"inval" ~local:true ();
-  Metrics.record_msg m ~label:built ~local:true ();
+  Metrics.record_msg m ~label:"inval" ~local:false ~bytes:3;
+  Metrics.record_msg m ~label:built ~local:false ~bytes:4;
+  Metrics.record_msg m ~label:"inval" ~local:true ~bytes:0;
+  Metrics.record_msg m ~label:built ~local:true ~bytes:0;
   Alcotest.(check (list (pair string int))) "one remote row" [ ("inval", 2) ] (Metrics.by_label m);
   Alcotest.(check (list (pair string int))) "one bytes row" [ ("inval", 7) ]
     (Metrics.bytes_by_label m);
   Alcotest.(check (list (pair string int))) "one local row" [ ("inval", 2) ]
     (Metrics.local_by_label m);
   Metrics.reset m;
-  Metrics.record_msg m ~label:built ~local:false ();
+  Metrics.record_msg m ~label:built ~local:false ~bytes:0;
   Alcotest.(check (list (pair string int))) "counts restart after reset" [ ("inval", 1) ]
     (Metrics.by_label m)
 

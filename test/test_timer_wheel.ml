@@ -18,12 +18,15 @@ let advance w ~dummy =
   in
   consume []
 
+(* For wheels whose tests never remove an entry. *)
+let no_locate _ _ = ()
+
 let payloads entries = List.map (fun (_, _, x) -> x) entries
 
 (* {2 Direct wheel API} *)
 
 let test_reject_edges () =
-  let w = W.create ~dummy:(-1) () in
+  let w = W.create ~dummy:(-1) ~locate:no_locate () in
   (* boundary after creation is the end of slot 0 *)
   Alcotest.(check (float 1e-9)) "boundary" 1.0 (W.boundary w);
   Alcotest.(check bool) "below boundary" false (W.add w ~time:0.5 ~seq:0 0);
@@ -33,7 +36,7 @@ let test_reject_edges () =
   Alcotest.(check int) "length" 1 (W.length w)
 
 let test_advance_drains_in_slot_batches () =
-  let w = W.create ~dummy:(-1) () in
+  let w = W.create ~dummy:(-1) ~locate:no_locate () in
   Alcotest.(check bool) "a" true (W.add w ~time:5.5 ~seq:0 0);
   Alcotest.(check bool) "b" true (W.add w ~time:5.9 ~seq:1 1);
   Alcotest.(check bool) "c" true (W.add w ~time:9.1 ~seq:2 2);
@@ -45,7 +48,7 @@ let test_advance_drains_in_slot_batches () =
     (fun () -> ignore (advance w ~dummy:(-1)))
 
 let test_level2_promotion () =
-  let w = W.create ~dummy:(-1) () in
+  let w = W.create ~dummy:(-1) ~locate:no_locate () in
   (* past the level-1 rotation (256 slots of 1 ms) but inside level 2 *)
   Alcotest.(check bool) "l2 accept" true (W.add w ~time:1000.25 ~seq:0 7);
   Alcotest.(check bool) "l2 accept 2" true (W.add w ~time:1000.75 ~seq:1 8);
@@ -55,7 +58,7 @@ let test_level2_promotion () =
   Alcotest.(check int) "drained" 0 (W.length w)
 
 let test_rebase () =
-  let w = W.create ~dummy:(-1) () in
+  let w = W.create ~dummy:(-1) ~locate:no_locate () in
   ignore (W.add w ~time:3.5 ~seq:0 0);
   Alcotest.check_raises "rebase non-empty" (Invalid_argument "Timer_wheel.rebase: wheel not empty")
     (fun () -> W.rebase w ~now:10.);
@@ -69,7 +72,7 @@ let test_rebase () =
    level-2 ring of horizon past its current window: 70 s in, a timer
    5 ms past the boundary still fits. *)
 let test_rolling_horizon () =
-  let w = W.create ~dummy:(-1) () in
+  let w = W.create ~dummy:(-1) ~locate:no_locate () in
   let seq = ref 0 in
   let add ~time x =
     incr seq;
@@ -99,7 +102,7 @@ let[@inline never] add_watched w ~weak ~time =
   ignore (W.add w ~time ~seq:0 payload)
 
 let test_handoff_releases_entries () =
-  let w = W.create ~dummy:Bytes.empty () in
+  let w = W.create ~dummy:Bytes.empty ~locate:no_locate () in
   let weak = Weak.create 1 in
   (* past the level-1 rotation: promoted, then drained *)
   add_watched w ~weak ~time:1000.5;
@@ -112,6 +115,46 @@ let test_handoff_releases_entries () =
   Alcotest.(check bool) "handed-off entry collected" false (Weak.check weak 0);
   Alcotest.(check bool) "wheel still accepts" true
     (W.add w ~time:(W.boundary w +. 1.) ~seq:1 Bytes.empty)
+
+(* A wheel whose [locate] records each entry's latest cell, as the
+   engine keeps it in the event. *)
+let located_wheel () =
+  let cells = Hashtbl.create 8 in
+  let w = W.create ~dummy:(-1) ~locate:(fun x pos -> Hashtbl.replace cells x pos) () in
+  let remove x = W.remove w ~pos:(Hashtbl.find cells x) x in
+  (w, remove)
+
+let test_remove_level1 () =
+  let w, remove = located_wheel () in
+  List.iteri (fun seq (time, x) -> ignore (W.add w ~time ~seq x)) [ (5.1, 0); (5.2, 1); (5.3, 2); (7.5, 3) ];
+  remove 0;
+  Alcotest.(check int) "length drops at once" 3 (W.length w);
+  (* the slot's last entry moved into the hole: its new cell is known *)
+  remove 2;
+  Alcotest.(check int) "moved entry removable" 2 (W.length w);
+  remove 0;
+  Alcotest.(check int) "second remove is a no-op" 2 (W.length w);
+  Alcotest.(check (list int)) "slot 5 keeps the rest" [ 1 ] (payloads (advance w ~dummy:(-1)));
+  Alcotest.(check (list int)) "slot 7 untouched" [ 3 ] (payloads (advance w ~dummy:(-1)));
+  Alcotest.(check int) "empty" 0 (W.length w)
+
+let test_remove_level2 () =
+  let w, remove = located_wheel () in
+  (* 1 000 ms out: level 2, promoted into level 1 by the first advance *)
+  List.iteri (fun seq x -> ignore (W.add w ~time:(1000.25 +. (0.1 *. float_of_int x)) ~seq x)) [ 0; 1; 2; 3 ];
+  ignore (W.add w ~time:1001.5 ~seq:4 4);
+  remove 1;
+  Alcotest.(check int) "removed from level 2" 4 (W.length w);
+  Alcotest.(check (list int)) "promoted without it" [ 0; 2; 3 ] (payloads (advance w ~dummy:(-1)));
+  (* 4 now sits in a level-1 slot, at the cell [promote] reported *)
+  Alcotest.(check int) "one left" 1 (W.length w);
+  remove 4;
+  Alcotest.(check int) "removed after promotion" 0 (W.length w);
+  (* drained entries have left the wheel: removing one does nothing *)
+  ignore (W.add w ~time:(W.boundary w +. 0.5) ~seq:5 5);
+  remove 0;
+  Alcotest.(check int) "drained entry: no-op" 1 (W.length w);
+  Alcotest.(check (list int)) "later entry intact" [ 5 ] (payloads (advance w ~dummy:(-1)))
 
 (* {2 Engine-level behaviour (wheel + heap together)} *)
 
@@ -247,7 +290,7 @@ let prop_wheel_never_loses_events =
   QCheck.Test.make ~name:"wheel add/advance conserves events" ~count:300
     QCheck.(list (pair (int_range 0 70_000) small_nat))
     (fun raw ->
-      let w = W.create ~dummy:(-1) () in
+      let w = W.create ~dummy:(-1) ~locate:no_locate () in
       let in_wheel = ref 0 in
       List.iteri
         (fun i (t, _) ->
@@ -277,6 +320,8 @@ let () =
           Alcotest.test_case "rebase" `Quick test_rebase;
           Alcotest.test_case "rolling horizon" `Quick test_rolling_horizon;
           Alcotest.test_case "handoff releases entries" `Quick test_handoff_releases_entries;
+          Alcotest.test_case "remove in level 1" `Quick test_remove_level1;
+          Alcotest.test_case "remove in level 2 and after promotion" `Quick test_remove_level2;
         ] );
       ( "engine",
         [
