@@ -370,7 +370,6 @@ let run_cmd =
 
 module Scenario = Dq_bench.Scenario
 module Results = Dq_bench.Results
-module Bench_diff = Dq_bench.Diff
 
 let bench_list () =
   let t = Table.create ~header:[ "scenario"; "v"; "protocols"; "description" ] in
@@ -424,7 +423,7 @@ let find_scenario name =
       (String.concat ", " (List.map (fun (s : Scenario.t) -> s.Scenario.name) Scenario.all));
     exit 2
 
-let bench_run name smoke seed out noise_band wan_scale write_ratio =
+let bench_run name smoke seed out wan_scale write_ratio =
   let scenario = find_scenario name in
   let now_s = Unix.gettimeofday in
   let outcomes =
@@ -436,11 +435,11 @@ let bench_run name smoke seed out noise_band wan_scale write_ratio =
   print_outcomes outcomes;
   Option.iter
     (fun path ->
-      Results.write_file path (Results.render ?noise_band ~smoke ~seed scenario outcomes);
+      Results.write_file path (Results.render ~smoke ~seed scenario outcomes);
       Printf.printf "wrote %s\n" path)
     out
 
-let bench_sweep name smoke seed out noise_band wan_scales write_ratios =
+let bench_sweep name smoke seed out wan_scales write_ratios =
   let scenario = find_scenario name in
   let now_s = Unix.gettimeofday in
   let outcomes = Scenario.sweep ~now_s ~smoke ~seed ~wan_scales ~write_ratios scenario in
@@ -448,19 +447,9 @@ let bench_sweep name smoke seed out noise_band wan_scales write_ratios =
   Option.iter
     (fun path ->
       Results.write_file path
-        (Results.render ?noise_band ~sweep_axes:(wan_scales, write_ratios) ~smoke ~seed
-           scenario outcomes);
+        (Results.render ~sweep_axes:(wan_scales, write_ratios) ~smoke ~seed scenario outcomes);
       Printf.printf "wrote %s\n" path)
     out
-
-let bench_diff old_path new_path noise_band =
-  match Bench_diff.diff_files ?band:noise_band ~old_path ~new_path () with
-  | Error msg ->
-    Printf.eprintf "dqr bench diff: %s\n" msg;
-    exit 2
-  | Ok report ->
-    Format.printf "%a" Bench_diff.pp report;
-    if not (Bench_diff.passed report) then exit 1
 
 let scenario_pos =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"SCENARIO" ~doc:"Scenario name (see $(b,bench list)).")
@@ -471,13 +460,7 @@ let smoke_arg =
 let bench_out =
   Arg.(
     value & opt (some string) None
-    & info [ "out" ] ~docv:"FILE" ~doc:"Write schema-3 results JSON to $(docv).")
-
-let noise_band_opt =
-  Arg.(
-    value & opt (some float) None
-    & info [ "noise-band" ] ~docv:"B"
-        ~doc:"Relative noise band (e.g. 0.1 = 10%) recorded in the results / used by diff.")
+    & info [ "out" ] ~docv:"FILE" ~doc:"Write schema-4 results JSON to $(docv).")
 
 let bench_cmd =
   let list_cmd =
@@ -496,8 +479,7 @@ let bench_cmd =
     in
     Cmd.v (Cmd.info "run" ~doc:"Run one scenario across its protocols")
       Term.(
-        const bench_run $ scenario_pos $ smoke_arg $ seed_arg $ bench_out $ noise_band_opt
-        $ wan_scale $ write_ratio)
+        const bench_run $ scenario_pos $ smoke_arg $ seed_arg $ bench_out $ wan_scale $ write_ratio)
   in
   let sweep_cmd =
     let wan_scales =
@@ -512,26 +494,12 @@ let bench_cmd =
     in
     Cmd.v (Cmd.info "sweep" ~doc:"Sweep a scenario over WAN-delay and write-ratio axes")
       Term.(
-        const bench_sweep $ scenario_pos $ smoke_arg $ seed_arg $ bench_out $ noise_band_opt
-        $ wan_scales $ write_ratios)
-  in
-  let diff_cmd =
-    let old_path =
-      Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD.json" ~doc:"Baseline results.")
-    in
-    let new_path =
-      Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.json" ~doc:"Fresh results.")
-    in
-    Cmd.v
-      (Cmd.info "diff"
-         ~doc:
-           "Compare two results files metric-by-metric; exit 1 on regression, 2 when the \
-            files are not comparable")
-      Term.(const bench_diff $ old_path $ new_path $ noise_band_opt)
+        const bench_sweep $ scenario_pos $ smoke_arg $ seed_arg $ bench_out $ wan_scales
+        $ write_ratios)
   in
   Cmd.group
-    (Cmd.info "bench" ~doc:"Perf-campaign scenarios: run, sweep and regression-diff")
-    [ list_cmd; run_cmd; sweep_cmd; diff_cmd ]
+    (Cmd.info "bench" ~doc:"Perf-campaign scenarios: run and sweep")
+    [ list_cmd; run_cmd; sweep_cmd ]
 
 (* --- avail / overhead ----------------------------------------------------- *)
 

@@ -4,26 +4,21 @@ module Staleness = Dq_harness.Staleness
 module Aoi = Dq_telemetry.Aoi
 module Ju = Dq_telemetry.Json_util
 
-(* Schema 3: the self-describing bench-results format.
+(* Schema 4: the self-describing bench-results format.
 
    {v
-   { "schema": 3,
+   { "schema": 4,
      "generated_by": "dqr bench",
      "kind": "scenario" | "sweep",
      "scenario": { name, version, description, seed, smoke, topology
                    and workload parameters, protocols, sweep axes },
-     "noise_band": 0.1,
      "results": { "<id>": { ... per-run metrics ... }, ... } }
    v}
 
    [results] is an object keyed by run id — the protocol name, or
-   ["proto@wan=2,w=0.5"] for sweep cells — so the differ can pair runs
-   across files by path alone. Two metric families are split on
-   purpose: everything outside ["wall"] is virtual-time, a pure
-   function of the seed, and gated; everything under ["wall"] is
-   wall-clock, machine-dependent, and advisory. *)
-
-let default_noise_band = 0.1
+   ["proto@wan=2,w=0.5"] for sweep cells. Every metric is measured in
+   virtual time, so the whole document is a pure function of the seed
+   and the committed smoke baselines are compared byte for byte. *)
 
 let run_id (o : Scenario.outcome) ~sweep =
   if sweep then Printf.sprintf "%s@wan=%g,w=%g" o.Scenario.protocol o.Scenario.wan_scale o.Scenario.write_ratio
@@ -46,12 +41,6 @@ let add_outcome buf (o : Scenario.outcome) =
   add "      \"protocol\": \"%s\",\n" o.Scenario.protocol;
   add "      \"wan_scale\": %s,\n" (Ju.num o.Scenario.wan_scale);
   add "      \"write_ratio\": %s,\n" (Ju.num o.Scenario.write_ratio);
-  (match o.Scenario.wall_s, o.Scenario.sim_events with
-  | Some wall_s, events when wall_s > 0. ->
-    add "      \"wall\": {\"wall_s\": %s, \"events_per_sec\": %s},\n" (Ju.num wall_s)
-      (Ju.num (float_of_int events /. wall_s))
-  | Some wall_s, _ -> add "      \"wall\": {\"wall_s\": %s, \"events_per_sec\": null},\n" (Ju.num wall_s)
-  | None, _ -> add "      \"wall\": null,\n");
   add "      \"sim_events\": %d,\n" o.Scenario.sim_events;
   add "      \"issued\": %d,\n" r.Driver.issued;
   add "      \"completed\": %d,\n" r.Driver.completed;
@@ -89,13 +78,12 @@ let add_outcome buf (o : Scenario.outcome) =
     (Ju.num o.Scenario.age.Staleness.max_age_ms);
   add "    }"
 
-let render ?(noise_band = default_noise_band) ?sweep_axes ~smoke ~seed
-    (scenario : Scenario.t) (outcomes : Scenario.outcome list) =
+let render ?sweep_axes ~smoke ~seed (scenario : Scenario.t) (outcomes : Scenario.outcome list) =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let sweep = Option.is_some sweep_axes in
   add "{\n";
-  add "  \"schema\": 3,\n";
+  add "  \"schema\": 4,\n";
   add "  \"generated_by\": \"dqr bench\",\n";
   add "  \"kind\": \"%s\",\n" (if sweep then "sweep" else "scenario");
   add "  \"scenario\": {\n";
@@ -122,7 +110,6 @@ let render ?(noise_band = default_noise_band) ?sweep_axes ~smoke ~seed
     (String.concat ", "
        (List.map (fun p -> Printf.sprintf "\"%s\"" (Ju.escape p)) scenario.Scenario.protocols));
   add "  },\n";
-  add "  \"noise_band\": %s,\n" (Ju.num noise_band);
   add "  \"results\": {\n";
   List.iteri
     (fun i o ->

@@ -1,27 +1,21 @@
-(** The schema-3 bench-results JSON writer.
+(** The schema-4 bench-results JSON writer.
 
     Self-describing: the file carries the scenario definition (name,
     version, seed, smoke flag, topology/workload parameters, sweep
     axes) alongside one result object per run, keyed by run id — the
     protocol name, or ["proto@wan=2,w=0.5"] for sweep cells.
 
-    Two metric families are deliberately separated:
+    Every metric is measured in virtual time, so the document is a pure
+    function of the seed. [dune runtest] diffs fresh smoke runs against
+    [bench/baselines/] byte for byte; after a deliberate behaviour
+    change, [dune promote] accepts the new files. Wall-clock seconds
+    appear only in the CLI's stdout table.
 
-    - everything {e outside} a ["wall"] object is measured in virtual
-      time and is a pure function of the seed — byte-stable across
-      machines, and what {!Diff} gates;
-    - everything {e under} ["wall"] (wall-clock seconds, events/sec) is
-      machine-dependent and advisory; the differ skips it.
-
-    Validated by [scripts/validate_bench.py] (schema 3). *)
-
-val default_noise_band : float
-(** 0.1 — the relative drift the differ tolerates by default. *)
+    Validated by [scripts/validate_bench.py] (schema 4). *)
 
 val run_id : Scenario.outcome -> sweep:bool -> string
 
 val render :
-  ?noise_band:float ->
   ?sweep_axes:float list * float list ->
   smoke:bool ->
   seed:int64 ->

@@ -28,8 +28,9 @@ type t = {
 
 (* The campaign registry. Versions are part of the baseline contract:
    any change to a scenario's shape (topology, workload, op counts,
-   faults) must bump [version], which makes [dqr bench diff] refuse to
-   compare results across definitions instead of reporting noise. *)
+   faults) must bump [version], so the regenerated smoke baseline
+   (`dune runtest; dune promote`) names the reshape rather than only
+   moving numbers. *)
 
 let paper_five_names = [ "dqvl-paper"; "primary-backup"; "majority"; "rowa"; "rowa-async" ]
 

@@ -3,14 +3,13 @@
     A scenario is a named, versioned experiment shape: topology,
     workload, protocols under test, op counts (full and smoke), value
     padding and an optional fault schedule. Scenarios run entirely in
-    virtual time, so every metric except the wall-clock ones is a pure
-    function of the seed — which is what lets CI diff fresh results
-    against a committed baseline ({!Diff}).
+    virtual time, so every metric in the rendered results is a pure
+    function of the seed — which is what lets [dune runtest] compare
+    fresh smoke runs against the committed baselines byte for byte.
 
     Changing a scenario's definition must bump its [version]: the
-    differ refuses to compare results generated from different
-    versions, so a reshaped experiment reads as "regenerate the
-    baseline", never as a phantom regression. *)
+    promoted baseline then shows the reshape as a version change in
+    its diff, not only as moved numbers. *)
 
 type t = {
   name : string;
@@ -77,10 +76,10 @@ val run :
   outcome list
 (** One outcome per protocol, in registry order. [now_s] is a
     wall-clock reader (the CLI passes [Unix.gettimeofday]) used only
-    for the advisory [wall_s] timing — the library itself never reads
-    wall clocks, keeping every gated metric deterministic. Every run
-    cross-checks the online AoI sink against the offline staleness
-    oracle and fails loudly on disagreement.
+    for the [wall_s] column of the CLI's table — the library itself
+    never reads wall clocks, and the results document never carries
+    them. Every run cross-checks the online AoI sink against the
+    offline staleness oracle and fails loudly on disagreement.
 
     @raise Invalid_argument on an unknown protocol name. *)
 

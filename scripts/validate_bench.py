@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate schema-3 bench result JSONs from `dqr bench run` /
+"""Validate schema-4 bench result JSONs from `dqr bench run` /
 `dqr bench sweep`.
 
 Checks the self-describing scenario block, per-run metric structure
@@ -57,11 +57,6 @@ def validate_result(path, run_id, kind, protocols, run):
         err(path, f"run id '{run_id}' should equal the protocol name in a scenario file")
     require(run, path, "wan_scale", NUM)
     require(run, path, "write_ratio", NUM)
-
-    wall = require(run, path, "wall", (dict, type(None)))
-    if isinstance(wall, dict):
-        require(wall, f"{path}/wall", "wall_s", NUM)
-        require(wall, f"{path}/wall", "events_per_sec", NUM)
 
     for key in ("sim_events", "issued", "completed", "failed", "gave_up", "violations"):
         require(run, path, key, int)
@@ -129,7 +124,7 @@ def validate_result(path, run_id, kind, protocols, run):
                 err(path, f"aoi.{a} ({aoi[a]}) != staleness_oracle.{o} ({oracle[o]})")
 
 
-def validate_v3(doc, path):
+def validate_v4(doc, path):
     require(doc, path, "generated_by", str)
     kind = require(doc, path, "kind", str)
     if kind is not None and kind not in ("scenario", "sweep"):
@@ -156,10 +151,6 @@ def validate_v3(doc, path):
                     if axis is not None and not axis:
                         err(f"{p}/sweep", f"'{key}' is empty in a sweep file")
 
-    band = require(doc, path, "noise_band", NUM)
-    if band is not None and not 0 < band < 1:
-        err(path, f"noise_band {band} outside (0, 1)")
-
     results = require(doc, path, "results", dict)
     if results is not None:
         if not results:
@@ -184,10 +175,10 @@ def validate(fname):
     schema = require(doc, path, "schema", int)
     if schema is None:
         return
-    if schema != 3:
-        err(path, f"schema {schema!r}, expected 3")
+    if schema != 4:
+        err(path, f"schema {schema!r}, expected 4")
         return
-    validate_v3(doc, path)
+    validate_v4(doc, path)
 
 
 def main(argv):
