@@ -1,4 +1,12 @@
-type t = { bounds : float array; counts : int array; mutable total : int }
+(* [lo] and [hi] are the smallest and largest sample added, so a
+   quantile never reports a value outside the samples seen. *)
+type t = {
+  bounds : float array;
+  counts : int array;
+  mutable total : int;
+  mutable lo : float;
+  mutable hi : float;
+}
 
 let create ~buckets =
   let bounds = Array.of_list buckets in
@@ -6,14 +14,22 @@ let create ~buckets =
   Array.sort Float.compare sorted;
   if not (Array.for_all2 Float.equal bounds sorted) then
     invalid_arg "Histogram.create: buckets must be ascending";
-  { bounds; counts = Array.make (Array.length bounds + 1) 0; total = 0 }
+  {
+    bounds;
+    counts = Array.make (Array.length bounds + 1) 0;
+    total = 0;
+    lo = infinity;
+    hi = neg_infinity;
+  }
 
 let add t x =
   let n = Array.length t.bounds in
   let rec find i = if i >= n || x < t.bounds.(i) then i else find (i + 1) in
   let i = find 0 in
   t.counts.(i) <- t.counts.(i) + 1;
-  t.total <- t.total + 1
+  t.total <- t.total + 1;
+  if x < t.lo then t.lo <- x;
+  if x > t.hi then t.hi <- x
 
 let of_samples ~buckets samples =
   let t = create ~buckets in
@@ -28,7 +44,8 @@ let count t = t.total
    semantics can never drift between reporters. Linear interpolation
    within the bucket holding the target rank; bucket 0 interpolates
    from 0 (all tracked quantities are non-negative), and the open
-   overflow bucket reports its lower edge (the last finite bound). *)
+   overflow bucket reports its lower edge (the last finite bound).
+   The result is then clamped into the range of the samples seen. *)
 let quantile t q =
   if q < 0. || q > 1. then invalid_arg "Histogram.quantile: q must be in [0, 1]";
   if t.total = 0 then nan
@@ -49,7 +66,7 @@ let quantile t q =
           end
         else go (i + 1) seen'
     in
-    go 0 0.
+    Float.min t.hi (Float.max t.lo (go 0 0.))
   end
 
 let label t i =

@@ -17,7 +17,8 @@ val quantile : t -> float -> float
 (** [quantile t q] with [q] in [\[0, 1\]]: the value at rank
     [q * count t], linearly interpolated inside the bucket that holds
     it (bucket 0 interpolates from 0; the open overflow bucket reports
-    the last finite bound). This is the {e only} quantile/interpolation
+    the last finite bound), then clamped into the range from the
+    smallest to the largest sample added. This is the {e only} quantile/interpolation
     code path for bucket histograms — the metrics sink's latency histograms and the
     telemetry AoI sink's age distributions all report through it.
     [nan] on an empty histogram; raises [Invalid_argument] on a [q]

@@ -87,11 +87,14 @@ let test_empty_summary () =
 
 let test_histogram_quantile () =
   let h = Histogram.of_samples ~buckets:[ 10.; 20.; 30. ] [ 5.; 15.; 15.; 25. ] in
-  Alcotest.(check (float 1e-9)) "q=0 starts at 0" 0. (Histogram.quantile h 0.);
+  Alcotest.(check (float 1e-9)) "q=0 is clamped up to the smallest sample" 5.
+    (Histogram.quantile h 0.);
   Alcotest.(check (float 1e-9)) "median interpolates in its bucket" 15.
     (Histogram.quantile h 0.5);
-  Alcotest.(check (float 1e-9)) "q=1 is the top of the last hit bucket" 30.
+  Alcotest.(check (float 1e-9)) "q=1 is clamped down to the largest sample" 25.
     (Histogram.quantile h 1.);
+  Alcotest.(check (float 1e-9)) "q=0.8 interpolates below the largest sample" 22.
+    (Histogram.quantile h 0.8);
   Histogram.add h 100.;
   Alcotest.(check (float 1e-9)) "overflow bucket reports the last finite bound" 30.
     (Histogram.quantile h 1.);

@@ -28,7 +28,7 @@ let expected_aoi_json =
     "max_read_age_ms": 50,
     "time_avg_age_ms": 25,
     "peak_age_ms": 50,
-    "read_age_ms": {"count": 1, "p50": 75, "p90": 95, "p99": 99.5, "buckets": {"< 1": 0, "1 - 2": 0, "2 - 5": 0, "5 - 10": 0, "10 - 20": 0, "20 - 50": 0, "50 - 100": 1, "100 - 200": 0, "200 - 500": 0, "500 - 1000": 0, "1000 - 2000": 0, "2000 - 5000": 0, ">= 5000": 0}},
+    "read_age_ms": {"count": 1, "p50": 50, "p90": 50, "p99": 50, "buckets": {"< 1": 0, "1 - 2": 0, "2 - 5": 0, "5 - 10": 0, "10 - 20": 0, "20 - 50": 0, "50 - 100": 1, "100 - 200": 0, "200 - 500": 0, "500 - 1000": 0, "1000 - 2000": 0, "2000 - 5000": 0, ">= 5000": 0}},
     "behind_ms": {"count": 0, "p50": null, "p90": null, "p99": null, "buckets": {"< 1": 0, "1 - 2": 0, "2 - 5": 0, "5 - 10": 0, "10 - 20": 0, "20 - 50": 0, "50 - 100": 0, "100 - 200": 0, "200 - 500": 0, "500 - 1000": 0, "1000 - 2000": 0, "2000 - 5000": 0, ">= 5000": 0}},
     "versions_behind": {"count": 0, "p50": null, "p90": null, "p99": null, "buckets": {"< 1": 0, "1 - 2": 0, "2 - 3": 0, "3 - 5": 0, "5 - 10": 0, "10 - 20": 0, ">= 20": 0}}
   }|}
