@@ -56,6 +56,11 @@ type durable = {
    recovery (the incarnation guard kills the previous loop's timers). *)
 type sync_run = { mutable loop : Dq_rpc.Retry.t option; mutable replied : int list }
 
+(* A write loop still settling, with the (front end, op) whose
+   [Iqs_write_req] started it: a retransmitted copy of that request
+   re-drives this loop instead of starting another. *)
+type write_loop = { w_src : int; w_op : int; w_loop : Dq_rpc.Retry.t }
+
 type t = {
   net : Message.t Net.t;
   bus : Dq_telemetry.Bus.t;
@@ -64,7 +69,7 @@ type t = {
   me : int;
   n_nodes : int; (* length of every per-node array *)
   durable : durable;
-  mutable loops : (Key.t, Dq_rpc.Retry.t list ref) Hashtbl.t;
+  mutable loops : (Key.t, write_loop list ref) Hashtbl.t;
   mutable next_session : int;
   mutable syncing : sync_run option;
 }
@@ -231,20 +236,26 @@ let register_loop t key loop =
 let unregister_loop t key loop =
   match Hashtbl.find_opt t.loops key with
   | Some loops ->
-    loops := List.filter (fun l -> l != loop) !loops;
+    loops := List.filter (fun w -> w.w_loop != loop) !loops;
     (match !loops with [] -> Hashtbl.remove t.loops key | _ :: _ -> ())
   | None -> ()
 
 let poke_loops t key =
   match Hashtbl.find_opt t.loops key with
-  | Some loops -> List.iter Dq_rpc.Retry.poke !loops
+  | Some loops -> List.iter (fun w -> Dq_rpc.Retry.poke w.w_loop) !loops
   | None -> ()
+
+let find_loop t key ~src ~op =
+  match Hashtbl.find_opt t.loops key with
+  | Some loops -> List.find_opt (fun w -> w.w_src = src && w.w_op = op) !loops
+  | None -> None
 
 (* Drive the OQS write quorum to a state where it cannot serve any
    version of [key] older than [wlc], then call [on_done]. [o] and
    [peers] are [key]'s state: the loop cannot outlive them, since a
-   crash that wipes them also kills its timers and drops [t.loops]. *)
-let ensure_owq_invalid t o peers ~key ~wlc ~on_done =
+   crash that wipes them also kills its timers and drops [t.loops].
+   [src] and [op] name the write request the loop settles. *)
+let ensure_owq_invalid t o peers ~src ~op ~key ~wlc ~on_done =
   let loop_cell = ref None in
   (* The lease-expiry re-checks armed so far; cancelled when the loop
      settles, as they could only poke a finished loop. *)
@@ -288,7 +299,7 @@ let ensure_owq_invalid t o peers ~key ~wlc ~on_done =
   in
   if not (Dq_rpc.Retry.is_done loop) then begin
     loop_cell := Some loop;
-    register_loop t key loop
+    register_loop t key { w_src = src; w_op = op; w_loop = loop }
   end
 
 let handle_write t ~src ~op ~key ~value ~lc =
@@ -306,8 +317,11 @@ let handle_write t ~src ~op ~key ~value ~lc =
        else
          Dq_telemetry.Event.Inval_through
            { node = t.me; peer = src; key = Key.to_string key });
-  ensure_owq_invalid t o peers ~key ~wlc:lc ~on_done:(fun () ->
-      send t src (Message.Iqs_write_ack { op; key; lc }))
+  match find_loop t key ~src ~op with
+  | Some w -> Dq_rpc.Retry.rerun w.w_loop
+  | None ->
+    ensure_owq_invalid t o peers ~src ~op ~key ~wlc:lc ~on_done:(fun () ->
+        send t src (Message.Iqs_write_ack { op; key; lc }))
 
 (* --- lease grants ----------------------------------------------------- *)
 
