@@ -274,10 +274,20 @@ let start_ensure t key =
      typical read miss resolves in a single renewal round; the extra
      renewal messages are amortized over every object in the volume.
      [vols] and [objs] serve the whole loop: a crash that replaces the
-     cache also kills its timers and drops [t.ensuring]. *)
+     cache also kills its timers and drops [t.ensuring].
+     The loop remembers, per IQS node, the round in which it last asked
+     for the volume lease and for the object, and the object's clock
+     then. A re-run within a round (an invalidation, or delayed
+     invalidations in a renewal reply) never re-asks for a volume lease
+     already in flight, and re-asks for the object only where an
+     invalidation has since consumed the grant in flight. A timer round
+     asks again for everything still missing, which recovers losses. *)
   let volume = Key.volume key in
   let vols = vols_of t volume and objs = objs_of t key in
-  let attempt ~round:_ =
+  let vol_asked = Array.make t.n_nodes (-1) in
+  let obj_asked = Array.make t.n_nodes (-1) in
+  let obj_asked_lc = Array.make t.n_nodes Lc.zero in
+  let attempt ~round =
     let now = now t in
     let quorum =
       Dq_rpc.Qrpc.pick_read_targets ?strategy:t.config.iqs_read_strategy ~rng:t.rng
@@ -289,8 +299,6 @@ let start_ensure t key =
         (not t.config.use_volume_leases)
         || (vol_in vols i).expires > now +. t.config.renew_margin_ms
       in
-      if (not vol_fresh) && subscribed t then
-        emit t (Dq_telemetry.Event.Lease_expired { node = t.me; peer = i; volume });
       (* A finite object lease about to expire counts as missing too,
          so the grant arrives under a still-valid lease. The margin is
          capped for very short leases. *)
@@ -303,17 +311,29 @@ let start_ensure t key =
           let margin = Float.min t.config.renew_margin_ms (lease /. 4.) in
           (obj_in objs i).expires > now +. margin
       in
-      if not vol_fresh then
+      let lc = (obj_in objs i).lc in
+      let obj_due =
+        in_quorum && (not obj_ok)
+        && (obj_asked.(i) < round || not (Lc.equal obj_asked_lc.(i) lc))
+      in
+      if obj_due then begin
+        obj_asked.(i) <- round;
+        obj_asked_lc.(i) <- lc
+      end;
+      if (not vol_fresh) && vol_asked.(i) < round then begin
+        vol_asked.(i) <- round;
+        if subscribed t then
+          emit t (Dq_telemetry.Event.Lease_expired { node = t.me; peer = i; volume });
         send t i
           (Message.Vol_renew_req
              {
                volume;
                t0 = now;
-               want = (if in_quorum && not obj_ok then Some key else None);
+               want = (if obj_due then Some key else None);
                epoch = (vol_in vols i).epoch;
              })
-      else if in_quorum && not obj_ok then
-        send t i (Message.Obj_renew_req { key; t0 = now })
+      end
+      else if obj_due then send t i (Message.Obj_renew_req { key; t0 = now })
     in
     List.iter visit (Qs.members t.config.iqs)
   in
