@@ -13,8 +13,6 @@
 
     Validated by [scripts/validate_bench.py] (schema 4). *)
 
-val run_id : Scenario.outcome -> sweep:bool -> string
-
 val render :
   ?sweep_axes:float list * float list ->
   smoke:bool ->

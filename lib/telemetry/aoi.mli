@@ -63,5 +63,5 @@ val versions_behind_histogram : t -> Dq_util.Histogram.t
 val to_json : ?now:float -> t -> string
 (** A self-contained JSON object (summary scalars + the three
     distributions, quantiles via {!Dq_util.Histogram.quantile}) — the
-    ["aoi"] block of {!Metrics.to_json} and of the bench schema-3
+    ["aoi"] block of {!Metrics.to_json} and of the bench schema 4
     results. *)
