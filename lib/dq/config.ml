@@ -17,7 +17,6 @@ type t = {
   proactive_renew : bool;
   renew_margin_ms : float;
   atomic_reads : bool;
-  latency_aware : bool;
   batch_renewals : bool;
 }
 
@@ -71,7 +70,6 @@ let dqvl ~servers ?(volume_lease_ms = 5000.) ?(proactive_renew = true) ?object_l
       proactive_renew;
       renew_margin_ms = Float.min 1000. (volume_lease_ms /. 4.);
       atomic_reads = false;
-      latency_aware = false;
       batch_renewals = false;
     }
   in

@@ -59,11 +59,6 @@ type t = {
           write path with the value's own timestamp), which guarantees
           no later read observes an older version. Costs every read an
           extra IQS round trip. *)
-  latency_aware : bool;
-      (** QRPC target selection tracks per-peer response times and
-          contacts the historically fastest quorum first (the paper's
-          aggressive-implementation note in Section 2); default is the
-          paper's random-quorum policy. *)
   batch_renewals : bool;
       (** When an OQS node renews proactively, coalesce every volume
           lease from the same IQS node that is within the renewal

@@ -13,7 +13,6 @@ type t = {
   config : Config.t;
   rng : Dq_util.Rng.t;
   me : int;
-  tracker : Dq_rpc.Peer_tracker.t option;
   mutable next_op : int;
   mutable last_issued : Lc.t;
   mutable pending : (int, pending) Hashtbl.t;
@@ -21,20 +20,12 @@ type t = {
 }
 
 let create ~net ~config ~rng ~me =
-  let tracker =
-    if config.Config.latency_aware then
-      Some
-        (Dq_rpc.Peer_tracker.create ~now:(fun () ->
-             Dq_sim.Engine.now (Net.engine net)))
-    else None
-  in
   {
     net;
     bus = Dq_sim.Engine.telemetry (Net.engine net);
     config;
     rng;
     me;
-    tracker;
     next_op = 0;
     last_issued = Lc.zero;
     pending = Hashtbl.create 16;
@@ -63,7 +54,7 @@ let impose t ~key ~value ~lc ~on_done ~on_fail =
       ~on_quorum:(fun _ ->
         Hashtbl.remove t.pending op;
         on_done ~value ~lc)
-      ~prefer:t.me ?tracker:t.tracker ?strategy:t.config.iqs_write_strategy
+      ~prefer:t.me ?strategy:t.config.iqs_write_strategy
       ~timeout_ms:t.config.retry_timeout_ms
       ~backoff:t.config.retry_backoff ?max_rounds:t.config.max_rounds
       ~on_give_up:(fun () ->
@@ -93,8 +84,7 @@ let read t ~key ~on_done ~on_fail =
           if t.config.atomic_reads then impose t ~key ~value ~lc ~on_done ~on_fail
           else on_done ~value ~lc
         | None -> () (* a quorum always has at least one reply *))
-      ~prefer:t.me ?tracker:t.tracker
-      ~timeout_ms:t.config.retry_timeout_ms
+      ~prefer:t.me ~timeout_ms:t.config.retry_timeout_ms
       ~backoff:t.config.retry_backoff ?max_rounds:t.config.max_rounds
       ~on_give_up:(fun () ->
         Hashtbl.remove t.pending op;
@@ -127,7 +117,7 @@ let write t ~key ~value ~on_done ~on_fail =
         ~on_quorum:(fun _replies ->
           Hashtbl.remove t.pending op2;
           on_done ~lc:wlc)
-        ~prefer:t.me ?tracker:t.tracker ?strategy:t.config.iqs_write_strategy
+        ~prefer:t.me ?strategy:t.config.iqs_write_strategy
         ~timeout_ms:t.config.retry_timeout_ms
         ~backoff:t.config.retry_backoff ?max_rounds:t.config.max_rounds
         ~on_give_up:(fun () ->
@@ -144,7 +134,7 @@ let write t ~key ~value ~on_done ~on_fail =
         Hashtbl.remove t.pending op1;
         let max_lc = List.fold_left (fun acc (_, lc) -> Lc.max acc lc) Lc.zero replies in
         phase2 max_lc)
-      ~prefer:t.me ?tracker:t.tracker ?strategy:t.config.iqs_read_strategy
+      ~prefer:t.me ?strategy:t.config.iqs_read_strategy
       ~timeout_ms:t.config.retry_timeout_ms
       ~backoff:t.config.retry_backoff ?max_rounds:t.config.max_rounds
       ~on_give_up:(fun () ->

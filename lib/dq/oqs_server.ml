@@ -446,11 +446,6 @@ let quiesce t =
 
 let local_time t = now t
 
-let epoch_from t ~volume ~iqs =
-  match Obj_map.find_opt t.cache.vols volume with
-  | Some vols -> ( match vols.(iqs) with Some vf -> vf.epoch | None -> 0)
-  | None -> 0
-
 (* Earliest future volume-lease expiry, as a virtual-time delay. This is
    the nemesis layer's targeting hook: firing a partition just inside
    this window hits the protocol exactly as a lease is about to lapse. *)

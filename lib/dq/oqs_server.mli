@@ -44,8 +44,6 @@ val volume_valid_from : t -> volume:int -> iqs:int -> bool
 
 val object_valid_from : t -> Key.t -> iqs:int -> bool
 
-val epoch_from : t -> volume:int -> iqs:int -> int
-
 val local_time : t -> float
 
 val active_ensure_loops : t -> int

@@ -433,7 +433,7 @@ let ablation_atomic ?pool ?seed ?ops () =
     ~builders:
       [
         Registry.dqvl ();
-        Registry.dqvl_atomic ();
+        Registry.dqvl_atomic;
         Registry.majority;
         Registry.atomic_majority;
       ]

@@ -56,6 +56,4 @@ let ops t =
 
 let completed_count t = t.completed
 
-let gave_up_count t = t.gave_up
-
 let size t = Hashtbl.length t.table

@@ -45,6 +45,4 @@ val ops : t -> op list
 
 val completed_count : t -> int
 
-val gave_up_count : t -> int
-
 val size : t -> int

@@ -65,11 +65,6 @@ let pp_action ppf = function
     Format.fprintf ppf "lease-window %a hold=%.0fms max-wait=%.0fms" pp_pattern pattern
       hold_ms max_wait_ms
 
-let pp_program ppf program =
-  List.iter
-    (fun { at_ms; action } -> Format.fprintf ppf "@[%8.0fms %a@]@," at_ms pp_action action)
-    program
-
 let action_end_ms at_ms = function
   | Partition _ | Heal | Skew_bump _ | Degrade_link _ | Clear_link _ -> at_ms
   | Crash_storm { victims; stagger_ms; down_ms } | Amnesia_storm { victims; stagger_ms; down_ms }
@@ -534,8 +529,3 @@ let phases ~events ~history =
       })
     (windows boundaries)
 
-let pp_phase ppf p =
-  Format.fprintf ppf "[%.0f..%s ms] %s: issued=%d completed=%d failed=%d gave-up=%d"
-    p.from_ms
-    (if p.until_ms = infinity then "end" else Printf.sprintf "%.0f" p.until_ms)
-    p.label p.p_issued p.p_completed p.p_failed p.p_gave_up

@@ -71,7 +71,6 @@ type step = { at_ms : float; action : action }  (** [at_ms]: absolute virtual ti
 type program = step list
 
 val pp_action : Format.formatter -> action -> unit
-val pp_program : Format.formatter -> program -> unit
 
 val end_ms : program -> float
 (** Virtual time by which every step has fired and every bounded fault
@@ -128,5 +127,3 @@ type phase = {
 val phases : events:event list -> history:History.op list -> phase list
 (** Slice the history at each nemesis event: operations are assigned
     to the phase in which they were {e invoked}. *)
-
-val pp_phase : Format.formatter -> phase -> unit

@@ -121,7 +121,7 @@ let atomic_majority =
         base_instance engine topology ?faults Dq_proto.Base_cluster.Atomic_majority);
   }
 
-let dqvl_atomic ?volume_lease_ms ?proactive_renew () =
+let dqvl_atomic =
   {
     name = "dqvl-atomic";
     build =
@@ -129,7 +129,7 @@ let dqvl_atomic ?volume_lease_ms ?proactive_renew () =
         let servers = Topology.servers topology in
         let config =
           {
-            (Dq_core.Config.dqvl ~servers ?volume_lease_ms ?proactive_renew ()) with
+            (Dq_core.Config.dqvl ~servers ()) with
             Dq_core.Config.atomic_reads = true;
           }
         in
@@ -177,7 +177,7 @@ let named =
     ("primary-backup", fun () -> primary_backup);
     ("majority", fun () -> majority);
     ("atomic-majority", fun () -> atomic_majority);
-    ("dqvl-atomic", fun () -> dqvl_atomic ());
+    ("dqvl-atomic", fun () -> dqvl_atomic);
     ("rowa", fun () -> rowa);
     ("rowa-async", fun () -> rowa_async ());
   ]

@@ -61,7 +61,7 @@ val majority : builder
 val atomic_majority : builder
 (** Majority quorum with ABD read-impose: atomic semantics. *)
 
-val dqvl_atomic : ?volume_lease_ms:float -> ?proactive_renew:bool -> unit -> builder
+val dqvl_atomic : builder
 (** DQVL with atomic reads (paper future work, Section 6): every read
     pushes the value it returns through an IQS write quorum. *)
 

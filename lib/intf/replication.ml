@@ -29,5 +29,3 @@ type api = {
   message_stats : unit -> Dq_telemetry.Metrics.t;
   quiesce : unit -> unit;
 }
-
-let no_background () = ()

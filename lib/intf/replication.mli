@@ -52,6 +52,3 @@ type api = {
           proactive lease renewal, anti-entropy) so a simulation can
           drain; used at the end of experiments. *)
 }
-
-val no_background : unit -> unit
-(** Convenience no-op for protocols without background activity. *)

@@ -58,8 +58,6 @@ let enumerate qs ~mode ~p ~want_failure =
 
 let unavailability_p qs ~mode ~p = enumerate qs ~mode ~p ~want_failure:true
 
-let availability_p qs ~mode ~p = enumerate qs ~mode ~p ~want_failure:false
-
 let is_uniform_threshold qs mode =
   match Quorum_system.counting_thresholds qs with
   | None -> None

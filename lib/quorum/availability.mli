@@ -30,8 +30,6 @@ val unavailability_p : Quorum_system.t -> mode:mode -> p:(int -> float) -> float
 (** [enumerate ~want_failure:true]: unavailability under heterogeneous
     per-node failure probabilities. *)
 
-val availability_p : Quorum_system.t -> mode:mode -> p:(int -> float) -> float
-
 val unavailability_mc :
   Quorum_system.t -> mode:mode -> p:float -> rng:Dq_util.Rng.t -> samples:int -> float
 (** Monte-Carlo estimate for systems too large to enumerate: the

@@ -77,11 +77,6 @@ let is_write_quorum t ~present =
     all_columns_covered t ~rows ~cols ~present && some_full_column t ~rows ~cols ~present
   | Weighted { votes; write; _ } -> votes_present t ~votes ~present >= write
 
-let is_quorum t mode ~present =
-  match mode with
-  | Read -> is_read_quorum t ~present
-  | Write -> is_write_quorum t ~present
-
 let present_of_list ids =
   let set = List.sort_uniq Int.compare ids in
   fun id -> List.mem id set
@@ -193,9 +188,6 @@ let min_write_size t =
   | Threshold { write; _ } -> write
   | Grid { rows; cols } -> rows + cols - 1
   | Weighted { votes; write; _ } -> min_weighted_members votes write
-
-let min_quorum_size t mode =
-  match mode with Read -> min_read_size t | Write -> min_write_size t
 
 (* Accumulate members in random order until their votes reach [target]. *)
 let choose_weighted t ~votes ~target rng =

@@ -38,9 +38,6 @@ val is_read_quorum : t -> present:(int -> bool) -> bool
 
 val is_write_quorum : t -> present:(int -> bool) -> bool
 
-val is_quorum : t -> mode -> present:(int -> bool) -> bool
-(** [is_read_quorum] or [is_write_quorum], selected by [mode]. *)
-
 val is_read_quorum_list : t -> int list -> bool
 
 val is_write_quorum_list : t -> int list -> bool
@@ -51,8 +48,6 @@ val min_read_size : t -> int
 (** Cardinality of the smallest read quorum. *)
 
 val min_write_size : t -> int
-
-val min_quorum_size : t -> mode -> int
 
 (** {2 Enumeration}
 

@@ -61,8 +61,6 @@ let uniform system mode =
 
 let uniform_read system = uniform system Qs.Read
 
-let uniform_write system = uniform system Qs.Write
-
 let distribution t =
   match t.kind with
   | Implicit -> None

@@ -36,8 +36,6 @@ val uniform : Quorum_system.t -> Quorum_system.mode -> t
 
 val uniform_read : Quorum_system.t -> t
 
-val uniform_write : Quorum_system.t -> t
-
 val explicit : Quorum_system.t -> Quorum_system.mode -> (int list * float) list -> t
 (** An explicit distribution; weights are validated non-negative and
     normalized, zero-weight quorums are dropped, and every listed set

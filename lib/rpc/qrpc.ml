@@ -8,7 +8,6 @@ let qs_mode = function Read -> Qs.Read | Write -> Qs.Write
 type 'rep t = {
   system : Qs.t;
   replies : (int, 'rep) Hashtbl.t;
-  tracker : Peer_tracker.t option;
   mutable retry : Retry.t option;
 }
 
@@ -20,71 +19,42 @@ let replies t =
 
 (* Pick a quorum to contact, always including [prefer] when it is a
    member (the paper's prototype contacts the local node first and fills
-   the rest of the quorum randomly). With a [tracker], counting systems
-   instead take the historically fastest members ("track which nodes
-   have responded quickly in the past and first try sending to them").
-   An explicit [strategy] overrides both: its distribution is the
-   configured policy, so the sample is used as-is — no prefer swap, no
-   latency ranking. *)
-let pick_targets ?tracker ?strategy ~rng ~system ~mode ~prefer () =
+   the rest of the quorum randomly). An explicit [strategy] overrides
+   this: its distribution is the configured policy, so the sample is
+   used as-is, with no prefer swap. *)
+let pick_targets ?strategy ~rng ~system ~mode ~prefer () =
   let strategy =
     match strategy with Some s -> s | None -> Strategy.default system (qs_mode mode)
   in
-  if not (Strategy.is_default strategy) then Strategy.sample strategy rng
+  let base = Strategy.sample strategy rng in
+  if not (Strategy.is_default strategy) then base
   else
-    let tracked =
-      match tracker, Qs.counting_thresholds system with
-      | Some tracker, Some (read, write) ->
-        let k = match mode with Read -> read | Write -> write in
-        let members =
-          match prefer with
-          | Some node when Qs.mem system node ->
-            node :: List.filter (fun m -> m <> node) (Qs.members system)
-          | Some _ | None -> Qs.members system
-        in
-        let ranked =
-          match prefer with
-          | Some node when Qs.mem system node ->
-            node :: Peer_tracker.rank tracker (List.filter (fun m -> m <> node) members)
-          | Some _ | None -> Peer_tracker.rank tracker members
-        in
-        Some (List.filteri (fun i _ -> i < k) ranked)
-      | _ -> None
-    in
-    match tracked with
-    | Some targets -> targets
-    | None -> (
-      let base = Strategy.sample strategy rng in
-      match prefer with
-      | Some node when Qs.mem system node && not (List.mem node base) -> (
-        match Qs.counting_thresholds system with
-        | Some _ ->
-          (* Counting system: swapping any chosen member for [node] keeps a
-             valid quorum. *)
-          (match base with [] -> [ node ] | _ :: rest -> node :: rest)
-        | None -> base (* structured quorums: keep the valid random choice *))
-      | Some _ | None -> base)
+    match prefer with
+    | Some node when Qs.mem system node && not (List.mem node base) -> (
+      match Qs.counting_thresholds system with
+      | Some _ ->
+        (* Counting system: swapping any chosen member for [node] keeps a
+           valid quorum. *)
+        (match base with [] -> [ node ] | _ :: rest -> node :: rest)
+      | None -> base (* structured quorums: keep the valid random choice *))
+    | Some _ | None -> base
 
-let pick_read_targets ?tracker ?strategy ~rng ~system ~prefer () =
-  pick_targets ?tracker ?strategy ~rng ~system ~mode:Read ~prefer:(Some prefer) ()
+let pick_read_targets ?strategy ~rng ~system ~prefer () =
+  pick_targets ?strategy ~rng ~system ~mode:Read ~prefer:(Some prefer) ()
 
-let call ~timer ~rng ~system ~mode ~send ~on_quorum ?prefer ?tracker ?strategy
-    ?timeout_ms ?backoff ?max_rounds ?on_give_up ?bus ?node ?tag () =
-  let t = { system; replies = Hashtbl.create 8; tracker; retry = None } in
+let call ~timer ~rng ~system ~mode ~send ~on_quorum ?prefer ?strategy ?timeout_ms ?backoff
+    ?max_rounds ?on_give_up ?bus ?node ?tag () =
+  let t = { system; replies = Hashtbl.create 8; retry = None } in
   let attempt ~round =
     (* First try a minimal quorum; a retransmission means some target is
        slow or dead, so escalate to every member that has not yet
        replied (the paper's "more aggressive implementation might send
        to all nodes in system"). *)
     let targets =
-      if round = 0 then pick_targets ?tracker ?strategy ~rng ~system ~mode ~prefer ()
+      if round = 0 then pick_targets ?strategy ~rng ~system ~mode ~prefer ()
       else List.filter (fun m -> not (Hashtbl.mem t.replies m)) (Qs.members system)
     in
-    List.iter
-      (fun dst ->
-        (match tracker with Some tr -> Peer_tracker.note_sent tr dst | None -> ());
-        send dst)
-      targets
+    List.iter send targets
   in
   let complete () =
     let present id = Hashtbl.mem t.replies id in
@@ -102,7 +72,6 @@ let call ~timer ~rng ~system ~mode ~send ~on_quorum ?prefer ?tracker ?strategy
 
 let deliver t ~src rep =
   if Qs.mem t.system src then begin
-    (match t.tracker with Some tr -> Peer_tracker.note_reply tr src | None -> ());
     Hashtbl.replace t.replies src rep;
     match t.retry with Some retry -> Retry.poke retry | None -> ()
   end

@@ -19,7 +19,6 @@ val call :
   send:(int -> unit) ->
   on_quorum:((int * 'rep) list -> unit) ->
   ?prefer:int ->
-  ?tracker:Peer_tracker.t ->
   ?strategy:Dq_quorum.Strategy.t ->
   ?timeout_ms:float ->
   ?backoff:float ->
@@ -37,13 +36,13 @@ val call :
     node replied several times (retransmission, duplication), the latest
     reply wins. [prefer] (typically the calling node itself) is always
     included in the contacted set when it is a member of the system.
-    [strategy] selects the first-round quorum: omitted (or default), the
-    legacy sampler with the [prefer]/[tracker] refinements runs, drawing
-    the exact same RNG stream as before strategies existed; an explicit
-    strategy (see {!Dq_quorum.Strategy.explicit}) is sampled as-is — its
-    distribution {e is} the policy, so [prefer] and [tracker] do not
-    rewrite the choice. Retransmission rounds always escalate to all
-    members regardless of strategy. *)
+    [strategy] selects the first-round quorum: omitted (or default), a
+    random quorum is drawn and [prefer] swapped into it, the exact RNG
+    stream of the paper's prototype; an explicit strategy (see
+    {!Dq_quorum.Strategy.explicit}) is sampled as-is — its distribution
+    {e is} the policy, so [prefer] does not rewrite the choice.
+    Retransmission rounds always escalate to all members regardless of
+    strategy. *)
 
 val deliver : 'rep t -> src:int -> 'rep -> unit
 (** Record a reply. Replies from nodes outside the system are ignored;
@@ -57,15 +56,13 @@ val replies : 'rep t -> (int * 'rep) list
 (** Replies received so far. *)
 
 val pick_read_targets :
-  ?tracker:Peer_tracker.t ->
   ?strategy:Dq_quorum.Strategy.t ->
   rng:Dq_util.Rng.t ->
   system:Dq_quorum.Quorum_system.t ->
   prefer:int ->
   unit ->
   int list
-(** The target-selection policy alone (a minimal read quorum — random,
-    or fastest-first when a {!Peer_tracker.t} is supplied — always
-    preferring [prefer] when it is a member; an explicit [strategy] is
-    sampled verbatim instead) — for callers that run their own retry
-    loop, like the DQVL ensure-condition-C variation. *)
+(** The target-selection policy alone (a random minimal read quorum,
+    always preferring [prefer] when it is a member; an explicit
+    [strategy] is sampled verbatim instead) — for callers that run their
+    own retry loop, like the DQVL ensure-condition-C variation. *)

@@ -218,8 +218,6 @@ let read_age_histogram t = t.read_age
 
 let behind_histogram t = t.behind
 
-let versions_behind_histogram t = t.versions_behind
-
 let to_json ?now t =
   let s = summary ?now t in
   let buf = Buffer.create 512 in

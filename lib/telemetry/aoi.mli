@@ -58,8 +58,6 @@ val read_age_histogram : t -> Dq_util.Histogram.t
 val behind_histogram : t -> Dq_util.Histogram.t
 (** Time-behind per stale read (ms). *)
 
-val versions_behind_histogram : t -> Dq_util.Histogram.t
-
 val to_json : ?now:float -> t -> string
 (** A self-contained JSON object (summary scalars + the three
     distributions, quantiles via {!Dq_util.Histogram.quantile}) — the

@@ -182,7 +182,7 @@ let test_atomic_variants_have_no_inversions () =
         (builder.Registry.name ^ " inversions")
         0
         (List.length (C.new_old_inversions result.Driver.history)))
-    [ Registry.atomic_majority; Registry.dqvl_atomic () ]
+    [ Registry.atomic_majority; Registry.dqvl_atomic ]
 
 let test_atomicity_costs_a_round_trip () =
   let rows = E.ablation_atomic ~ops:60 () in

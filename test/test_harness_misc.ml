@@ -80,7 +80,7 @@ let test_registry_names_are_unique () =
     @ [
         Registry.dq_basic;
         Registry.atomic_majority;
-        Registry.dqvl_atomic ();
+        Registry.dqvl_atomic;
         Registry.grid ~rows:3 ~cols:3;
       ]
   in

@@ -222,6 +222,50 @@ let test_escalates_to_all_members_on_retry () =
   Engine.run engine;
   Alcotest.(check int) "all members contacted after one retry" 7 (Hashtbl.length contacted)
 
+let test_untracked_policy_keeps_hitting_slow_member () =
+  (* Control experiment: the random policy keeps paying the slow member
+     in some rounds. *)
+  let engine = Engine.create ~seed:61L () in
+  let delay ~src ~dst =
+    let d node = if node = 3 then 200. else 10. in
+    if src = dst then 0.05 else Float.max (d src) (d dst) /. 2.
+  in
+  let topo = Topology.custom ~n_servers:4 ~n_clients:0 ~delay ~closest:(fun c -> c) in
+  let net = Net.create engine topo ~classify () in
+  Net.register net ~node:0 (fun ~src:_ _ -> ());
+  for node = 1 to 3 do
+    Net.register net ~node (fun ~src msg ->
+        match msg with Req -> Net.send net ~src:node ~dst:src Rep | Rep -> ())
+  done;
+  let system = Qs.majority [ 1; 2; 3 ] in
+  let latencies = ref [] in
+  let current = ref None in
+  Net.register net ~node:0 (fun ~src msg ->
+      match msg, !current with
+      | Rep, Some c -> Qrpc.deliver c ~src Rep
+      | _ -> ());
+  let rec run_call i =
+    if i < 20 then begin
+      let start = Engine.now engine in
+      let c =
+        Qrpc.call
+          ~timer:(fun ~delay_ms action -> Net.timer net ~node:0 ~delay_ms action)
+          ~rng:(Engine.split_rng engine) ~system ~mode:Qrpc.Read
+          ~send:(fun dst -> Net.send net ~src:0 ~dst Req)
+          ~on_quorum:(fun _ ->
+            latencies := (Engine.now engine -. start) :: !latencies;
+            run_call (i + 1))
+          ~timeout_ms:5_000. ()
+      in
+      current := Some c
+    end
+  in
+  run_call 0;
+  Engine.run engine;
+  let slow_calls = List.filter (fun l -> l > 100.) !latencies in
+  Alcotest.(check bool) "random policy pays the slow member sometimes" true
+    (List.length slow_calls > 0)
+
 let () =
   Alcotest.run "qrpc"
     [
@@ -237,5 +281,10 @@ let () =
           Alcotest.test_case "give up" `Quick test_give_up;
           Alcotest.test_case "prefer" `Quick test_prefer_included;
           Alcotest.test_case "escalation" `Quick test_escalates_to_all_members_on_retry;
+        ] );
+      ( "integration",
+        [
+          Alcotest.test_case "random policy control" `Quick
+            test_untracked_policy_keeps_hitting_slow_member;
         ] );
     ]
