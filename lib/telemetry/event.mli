@@ -42,7 +42,16 @@ type t =
   | Lease_granted of { node : int; peer : int; volume : int; lease_ms : float; epoch : int }
   | Lease_expired of { node : int; peer : int; volume : int }
   | Inval_through of { node : int; peer : int; key : string }
+      (** IQS node [node] handled a copy of front end [peer]'s
+          [Iqs_write_req] while no OQS write quorum was yet invalid for
+          the write, so it must invalidate before acknowledging. Emitted
+          once per request copy handled, retransmissions and duplicates
+          included: counts are of copies, not of client writes (a
+          contended run can see several per write). *)
   | Inval_suppressed of { node : int; key : string }
+      (** Like [Inval_through], but an OQS write quorum was already
+          invalid for the write, so the write is acknowledged without
+          an invalidation round. Also emitted once per request copy. *)
   | Inval_delayed of { node : int; peer : int; key : string }
   | Epoch_advance of { node : int; peer : int; volume : int; epoch : int }
   | Cache_read of { node : int; key : string; hit : bool }
